@@ -3,9 +3,11 @@
 Two interchangeable codings of the same record abstraction:
 
 * GA codec: binding is the signed blade product, chunking is sparse
-  coefficient addition, clean-up ranks fillers by the reversion
-  similarity after projecting the unbound result onto the filler
-  support (first k positions).
+  coefficient addition.  Clean-up ranks the fillers by the reversion
+  similarity, which for a unit filler blade is exactly its coefficient
+  in the unbound result; so it reads the filler blades present among
+  the unbound terms, O(P) per decode for a P-pair record and
+  independent of the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
 
@@ -69,7 +71,8 @@ class SymbolTable:
     k is the filler support width: every filler is zero beyond position
     k.  Roles use all n positions.  Names are unique across the whole
     table and no two symbols share a bit string.  Treat the mappings as
-    read-only.
+    read-only: validation also caches a filler value -> name map for
+    the GA clean-up, which a later change to `fillers` would not update.
     """
 
     n: int
@@ -85,6 +88,7 @@ class SymbolTable:
             raise ValueError(f"names used as both role and filler: {sorted(overlap)}")
         low = (1 << (self.n - self.k)) - 1
         seen: dict[int, str] = {}
+        filler_names: dict[int, str] = {}
         for kind, mapping in (("role", self.roles), ("filler", self.fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
@@ -104,6 +108,9 @@ class SymbolTable:
                         f"{kind} {name!r} collides with {seen[blade.value]!r}"
                     )
                 seen[blade.value] = name
+                if kind == "filler":
+                    filler_names[blade.value] = name
+        object.__setattr__(self, "_filler_names", filler_names)
 
     # - serialization -
 
@@ -313,39 +320,54 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     """Unbind a role and clean the result against the table's fillers.
 
     raw = inverse(role) * payload, so a weight-w pair contributes
-    exactly w times its filler blade; the winner is the filler of
-    largest absolute similarity against the support-projected raw, with
-    the signed score reported (binding is projective, a global sign
-    carries no information).  Exact score ties go to the
-    lexicographically smallest blade and are flagged ambiguous.
+    exactly w times its filler blade.  A filler's reversion similarity
+    with raw is exactly its coefficient there, so only the filler blades
+    among raw's terms can score nonzero; clean-up scores just those,
+    O(P) for a P-pair record whatever the number of fillers.  Crosstalk
+    off the filler support never names a filler and so never scores.
+    The winner is the filler of largest absolute score, with the signed
+    score reported (binding is projective, a global sign carries no
+    information).  Exact score ties go to the lexicographically smallest
+    blade and are flagged ambiguous.  When no filler is present, every
+    filler scores 0: the smallest blade wins, ambiguous unless it is
+    the only filler.
     """
     if record.codec != GA:
         raise ValueError(f"ga_decode on a {record.codec!r} record")
     if record.n != table.n:
         raise ValueError(f"record dimension {record.n} != table dimension {table.n}")
     role = _resolve(table.roles, role_name, "role")
-    memory = CleanupMemory.from_table(table, "similarity")
-    if not memory.entries:
+    if not table.fillers:
         raise ValueError("clean-up memory is empty")
     raw = Multivector.from_blade(blade_inverse(role)).gp(record.payload)
-    projected = raw.project_to_support(table.k)
 
-    best_abs = -1.0
-    candidates: list[tuple[BladeIndex, str, float]] = []
-    for name, blade in memory.entries:
-        s = similarity(Multivector.from_blade(blade), projected)
+    best_abs = 0.0
+    winner = None
+    ambiguous = False
+    # items() ascends by blade, so a later exact tie never displaces the winner.
+    for idx, _ in raw.items():
+        name = table._filler_names.get(idx.value)
+        if name is None:
+            continue
+        blade = table.fillers[name]
+        s = similarity(Multivector.from_blade(blade), raw)
         if abs(s) > best_abs:
             best_abs = abs(s)
-            candidates = [(blade, name, s)]
+            winner = (name, blade, s)
+            ambiguous = False
         elif abs(s) == best_abs:
-            candidates.append((blade, name, s))
-    blade, name, score = min(candidates, key=lambda c: c[0].value)
+            ambiguous = True
+    if winner is None:
+        name, blade = min(table.fillers.items(), key=lambda kv: kv[1].value)
+        winner = (name, blade, 0.0)
+        ambiguous = len(table.fillers) > 1
+    name, blade, score = winner
     return GaDecodeResult(
         filler=name,
         blade=blade,
         score=score,
         raw=raw,
-        ambiguous=len(candidates) > 1,
+        ambiguous=ambiguous,
     )
 
 

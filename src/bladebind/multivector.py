@@ -3,11 +3,14 @@
 A multivector is a finite sum of signed blades with real weights; records
 built by the codec and the noisy results of unbinding both live here.
 Coefficients that cancel to exactly zero are dropped, so the term table
-only ever holds genuine support.  Values are immutable and every
-operation returns a fresh instance.
+only ever holds genuine support; NaN and infinite coefficients are
+rejected.  Values are immutable and every operation returns a fresh
+instance.
 """
 
 from __future__ import annotations
+
+import math
 
 from .blades import (
     BladeIndex,
@@ -40,6 +43,10 @@ class Multivector:
                     f"term {idx!r} has dimension {idx.n}, multivector has {n}"
                 )
             c = float(coeff)
+            if not math.isfinite(c):
+                raise ValueError(
+                    f"coefficient {c!r} of blade {format_blade(idx)} is not finite"
+                )
             if c != 0.0:
                 clean[idx] = c
         object.__setattr__(self, "n", n)

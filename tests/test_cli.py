@@ -132,6 +132,31 @@ def test_decode_unknown_role(capsys, tmp_path):
     assert rc == 2 and "unknown role" in err
 
 
+def test_decode_rejects_a_nan_coefficient(capsys, tmp_path):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,sex=male",
+        "--out", str(record))
+    obj = json.loads(record.read_text())
+    obj["terms"][0][0] = float("nan")
+    record.write_text(json.dumps(obj))  # json writes and reads NaN
+    rc, out, err = run(capsys, "decode", "--in", str(record),
+                       "--memory", str(table), "--role", "sex")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_encode_rejects_non_finite_weights(capsys, tmp_path, weight):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, out, err = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,sex=male",
+                       f"--weights=1,{weight}", "--out", str(record))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "not finite" in err
+    assert not record.exists()
+
+
 def test_missing_and_malformed_files(capsys, tmp_path):
     rc, _, err = run(capsys, "encode", "--in", str(tmp_path / "absent.json"),
                      "--pairs", "a=b", "--out", str(tmp_path / "r.json"))

@@ -295,6 +295,9 @@ def test_ga_encode_weight_validation():
         ga_encode(t, [("name", "nope")])
     with pytest.raises(ValueError):
         ga_encode(t, [("nope", "Pat")])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            ga_encode(t, [("name", "Pat"), ("sex", "male")], [1.0, bad])
 
 
 def test_ga_single_pair_decodes_exactly():
@@ -354,5 +357,5 @@ def test_ga_decode_rejects_mismatches():
     with pytest.raises(ValueError):
         ga_decode(rec, other, "r")
     empty = SymbolTable(n=4, k=2, roles={"r": b("0010")}, fillers={})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clean-up memory is empty"):
         ga_decode(EncodedRecord("ga", payload=rec.payload), empty, "r")

@@ -19,6 +19,14 @@ def test_exact_zeros_are_dropped():
     assert y.is_zero
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        Multivector(4, {BladeIndex.from_bits("1010"): bad})
+    with pytest.raises(ValueError, match="not finite"):
+        mv([(1.0, "1100"), (bad, "0011")])
+
+
 def test_from_pairs_accumulates_duplicates():
     x = mv([(1.0, "1100"), (2.5, "1100")])
     assert x.coeff(BladeIndex.from_bits("1100")) == 3.5

@@ -14,7 +14,14 @@ from bladebind.blades import (
     product_sign,
     xor_of,
 )
-from bladebind.codec import gen_symbols, hamming, majority_chunk
+from bladebind.codec import (
+    SymbolTable,
+    ga_decode,
+    ga_encode,
+    gen_symbols,
+    hamming,
+    majority_chunk,
+)
 from bladebind.multivector import Multivector, similarity
 from bladebind.reference import product_by_transposition_sort, sign_by_crossing_count
 
@@ -123,3 +130,92 @@ def test_gen_symbols_is_pure_in_the_seed(seed):
     a = gen_symbols(seed, 24, 6, ["r1", "r2"], ["f1", "f2"])
     b = gen_symbols(seed, 24, 6, ["r1", "r2"], ["f1", "f2"])
     assert a == b
+
+
+# --- GA clean-up against the full filler scan ------------------------------------
+
+
+def scan_every_filler(record, table, role_name):
+    """Reference clean-up: similarity of every filler with the projected unbind.
+
+    Largest |score| wins; exact ties go to the smallest blade and are
+    ambiguous; fillers absent from the unbind all score 0.
+    """
+    role = table.roles[role_name]
+    raw = Multivector.from_blade(blade_inverse(role)).gp(record.payload)
+    projected = raw.project_to_support(table.k)
+    best_abs = -1.0
+    candidates = []
+    for name, blade in table.fillers.items():
+        s = similarity(Multivector.from_blade(blade), projected)
+        if abs(s) > best_abs:
+            best_abs = abs(s)
+            candidates = [(blade, name, s)]
+        elif abs(s) == best_abs:
+            candidates.append((blade, name, s))
+    blade, name, score = min(candidates, key=lambda c: c[0].value)
+    return name, blade, score, len(candidates) > 1
+
+
+def assert_decodes_like_the_scan(record, table):
+    for role_name in table.roles:
+        res = ga_decode(record, table, role_name)
+        assert (res.filler, res.blade, res.score, res.ambiguous) == scan_every_filler(
+            record, table, role_name
+        )
+
+
+@st.composite
+def crowded_tables(draw):
+    """n <= 8 tables with one to six fillers, so symbols and products collide."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    filler_values = draw(
+        st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=6, unique=True)
+    )
+    fillers = {f"f{i}": BladeIndex(n, v << (n - k)) for i, v in enumerate(filler_values)}
+    taken = {b.value for b in fillers.values()}
+    role_values = draw(
+        st.lists(
+            st.integers(1, (1 << n) - 1).filter(lambda v: v not in taken),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    roles = {f"r{i}": BladeIndex(n, v) for i, v in enumerate(role_values)}
+    return SymbolTable(n=n, k=k, roles=roles, fillers=fillers)
+
+
+def encode_drawn_pairs(data, table, max_pairs, weight):
+    pair = st.tuples(st.sampled_from(sorted(table.roles)), st.sampled_from(sorted(table.fillers)))
+    pairs = data.draw(st.lists(pair, max_size=max_pairs))
+    weights = data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return ga_encode(table, pairs, weights)
+
+
+@given(crowded_tables(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ga_decode_matches_the_filler_scan_on_crowded_tables(table, data):
+    # Weights of equal magnitude and both signs make exact ties and
+    # destructive cancellation; roles left out of the pairs are absent.
+    record = encode_drawn_pairs(data, table, 6, st.sampled_from([-2.0, -1.0, 1.0, 2.0]))
+    assert_decodes_like_the_scan(record, table)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(64, 256),
+    st.integers(1, 40),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_ga_decode_matches_the_filler_scan_at_width(seed, n, filler_count, data):
+    k = data.draw(st.integers(8, n))
+    table = gen_symbols(
+        seed, n, k, [f"r{i}" for i in range(6)], [f"f{i}" for i in range(filler_count)]
+    )
+    record = encode_drawn_pairs(
+        data, table, 12, st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
+    )
+    assert_decodes_like_the_scan(record, table)
