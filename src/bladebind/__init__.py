@@ -17,20 +17,16 @@ from .blades import (
     blade_inverse,
     format_blade,
     geometric_product,
-    grade,
     parse_blade,
     product_sign,
     reversion_sign,
-    xor_of,
 )
 from .cartan import (
     blade_matrix,
     generator_matrix,
-    kron,
     min_factor_count,
     pauli,
     rep,
-    trace,
 )
 from .codec import (
     CleanupMemory,
@@ -73,9 +69,7 @@ __all__ = [
     "gen_symbols",
     "generator_matrix",
     "geometric_product",
-    "grade",
     "hamming",
-    "kron",
     "majority_chunk",
     "min_factor_count",
     "parse_blade",
@@ -86,7 +80,5 @@ __all__ = [
     "run_bench",
     "run_verification",
     "similarity",
-    "trace",
     "trace_product",
-    "xor_of",
 ]

@@ -27,8 +27,6 @@ __all__ = [
     "BladeIndex",
     "SignedBlade",
     "DimensionMismatch",
-    "grade",
-    "xor_of",
     "product_sign",
     "geometric_product",
     "blade_inverse",
@@ -213,16 +211,6 @@ class SignedBlade:
 # --- operations -------------------------------------------------------------
 
 
-def grade(a: BladeIndex) -> int:
-    """Number of 1-bits of the index: a k-blade has grade k."""
-    return a.value.bit_count()
-
-
-def xor_of(a: BladeIndex, b: BladeIndex) -> BladeIndex:
-    """Componentwise XOR; the index of the blade product."""
-    return a ^ b
-
-
 def product_sign(a: BladeIndex, b: BladeIndex) -> int:
     """Sign of the product (left factor a, right factor b).
 
@@ -247,7 +235,7 @@ def blade_inverse(a: BladeIndex) -> SignedBlade:
     For a grade-k blade the sign is (-1)^(k(k-1)/2), the parity of
     reversing the blade's own generator list.
     """
-    return SignedBlade(reversion_sign(grade(a)), a)
+    return SignedBlade(reversion_sign(a.grade()), a)
 
 
 def reversion_sign(k: int) -> int:
@@ -278,6 +266,6 @@ def parse_blade(text: str, n: int | None = None) -> BladeIndex:
     raise ValueError(f"blade literal {text!r} matches neither binary nor hex for n={n}")
 
 
-def format_blade(b: BladeIndex, binary_max: int = BINARY_LITERAL_MAX) -> str:
-    """Render a blade literal: binary up to binary_max bits, hex beyond."""
-    return b.bits if b.n <= binary_max else b.hex
+def format_blade(b: BladeIndex) -> str:
+    """Render a blade literal: binary up to BINARY_LITERAL_MAX bits, hex beyond."""
+    return b.bits if b.n <= BINARY_LITERAL_MAX else b.hex

@@ -23,12 +23,10 @@ from .multivector import Multivector
 __all__ = [
     "ORDER_CAP",
     "pauli",
-    "kron",
     "min_factor_count",
     "generator_matrix",
     "blade_matrix",
     "rep",
-    "trace",
 ]
 
 # 2^12 x 2^12 complex128 is 256 MB per matrix; anything larger is out of
@@ -51,11 +49,6 @@ def pauli(which: int) -> np.ndarray:
     if which not in _SIGMA:
         raise ValueError(f"pauli index must be 1, 2 or 3, got {which}")
     return _SIGMA[which].copy()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; b's blocks are dropped into a's entry pattern."""
-    return np.kron(a, b)
 
 
 def min_factor_count(n: int) -> int:
@@ -114,7 +107,3 @@ def rep(x: Multivector, m: int) -> np.ndarray:
     for idx, coeff in x.items():
         out += coeff * blade_matrix(idx, m)
     return out
-
-
-def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(a))

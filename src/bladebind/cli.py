@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench as bench_mod
@@ -94,6 +95,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be finite, got {args.threshold}")
     record = EncodedRecord.load(args.infile)
     table = SymbolTable.load(args.memory)
     if record.codec == GA:
@@ -128,7 +131,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_mod.run_verification(args.m)
+    report = verify_mod.run_verification()
     _emit(args, report.to_json(), report.format_text())
     return 0 if report.passed else 1
 
@@ -181,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_decode)
 
     p = sub.add_parser("verify", help="replay the pinned four-bit worked record")
-    p.add_argument("--m", type=int, default=verify_mod.FIXTURE_M,
-                   help="Pauli factor count (the fixture pins 4)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_verify)
 

@@ -131,7 +131,7 @@ class SymbolTable:
             fillers = {
                 name: parse_blade(lit, n) for name, lit in obj["fillers"].items()
             }
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed symbol table: {exc}") from exc
         return cls(n=n, k=k, roles=roles, fillers=fillers)
 
@@ -222,7 +222,7 @@ class EncodedRecord:
                 return cls(GA, payload=Multivector.from_pairs(obj["terms"], n))
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed record: {exc}") from exc
         raise ValueError(f"unknown codec {codec!r}")
 
@@ -239,42 +239,23 @@ class EncodedRecord:
 
 @dataclass(frozen=True)
 class CleanupMemory:
-    """Stored reference symbols a noisy decode is matched against.
-
-    metric "similarity" ranks by the reversion inner product (GA path,
-    entries must respect the filler support given by filler_bits);
-    metric "hamming" ranks by bit distance (classic path).
-    """
+    """The classic Hamming item memory: named fillers, nearest bit distance wins."""
 
     entries: tuple
-    metric: str
-    filler_bits: int | None = None
 
     def __post_init__(self):
-        if self.metric not in ("similarity", "hamming"):
-            raise ValueError(f"unknown clean-up metric {self.metric!r}")
         if self.entries:
             n = self.entries[0][1].n
             for _, blade in self.entries:
                 if blade.n != n:
                     raise ValueError("clean-up entries span different dimensions")
-            if self.metric == "similarity":
-                if self.filler_bits is None:
-                    raise ValueError("similarity memory needs filler_bits")
-                low = (1 << (n - self.filler_bits)) - 1
-                for name, blade in self.entries:
-                    if blade.value & low:
-                        raise ValueError(
-                            f"entry {name!r} has bits beyond position {self.filler_bits}"
-                        )
 
     @classmethod
     def from_table(cls, table: SymbolTable, metric: str) -> "CleanupMemory":
-        return cls(
-            entries=tuple(table.fillers.items()),
-            metric=metric,
-            filler_bits=table.k if metric == "similarity" else None,
-        )
+        """The table's fillers as a memory; "hamming" is the only metric."""
+        if metric != "hamming":
+            raise ValueError(f"unknown clean-up metric {metric!r}")
+        return cls(entries=tuple(table.fillers.items()))
 
 
 # --- GA codec ------------------------------------------------------------------
@@ -432,8 +413,6 @@ def classic_decode(
 
     Ties go to the lexicographically smallest blade and are flagged.
     """
-    if memory.metric != "hamming":
-        raise ValueError(f"classic_decode needs a hamming memory, got {memory.metric!r}")
     if not memory.entries:
         raise ValueError("clean-up memory is empty")
     unbound = record_bits ^ role

@@ -111,10 +111,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def run_verification(m: int = FIXTURE_M) -> VerificationReport:
+def run_verification() -> VerificationReport:
     """Replay the worked record and report every identity checked."""
-    if m != FIXTURE_M:
-        raise ValueError(f"the fixture pins m={FIXTURE_M}, got m={m}")
     table = fixture_table()
     report = VerificationReport()
 

@@ -10,11 +10,9 @@ from bladebind.blades import (
     blade_inverse,
     format_blade,
     geometric_product,
-    grade,
     parse_blade,
     product_sign,
     reversion_sign,
-    xor_of,
 )
 from bladebind.reference import (
     product_by_transposition_sort,
@@ -66,7 +64,7 @@ def test_scalar_is_identity_on_both_sides():
     for text in ("0000", "1010", "1111"):
         assert product_sign(one, b(text)) == 1
         assert product_sign(b(text), one) == 1
-        assert xor_of(one, b(text)) == b(text)
+        assert one ^ b(text) == b(text)
 
 
 # --- sign oracle agreement -----------------------------------------------------
@@ -155,8 +153,8 @@ def test_two_blade_squares_to_minus_one():
 
 
 def test_grade_counts_set_bits():
-    assert grade(b("0000")) == 0
-    assert grade(b("1010")) == 2
+    assert b("0000").grade() == 0
+    assert b("1010").grade() == 2
     assert b("111").grade() == 3
     assert b("0110").positions() == (2, 3)
 
@@ -199,7 +197,7 @@ def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         product_sign(b("10"), b("100"))
     with pytest.raises(DimensionMismatch):
-        xor_of(b("10"), b("100"))
+        b("10") ^ b("100")
 
 
 # --- literals -----------------------------------------------------------------

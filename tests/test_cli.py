@@ -157,6 +157,52 @@ def test_encode_rejects_non_finite_weights(capsys, tmp_path, weight):
     assert not record.exists()
 
 
+def _replace_once(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "case", ["term-coefficient", "record-n", "table-k-decode", "table-k-encode"]
+)
+def test_number_overflow_in_input_files_exits_2(capsys, tmp_path, case):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,sex=male",
+        "--out", str(record))
+    if case == "term-coefficient":
+        obj = json.loads(record.read_text())
+        obj["terms"][0][0] = int("9" * 400)  # too large for a float
+        record.write_text(json.dumps(obj))
+    elif case == "record-n":
+        _replace_once(record, '"n": 64', '"n": 1e999')
+    else:
+        _replace_once(table, '"k": 16', '"k": 1e999')
+    if case == "table-k-encode":
+        argv = ["encode", "--in", str(table), "--pairs", "name=Pat",
+                "--out", str(tmp_path / "again.json")]
+    else:
+        argv = ["decode", "--in", str(record), "--memory", str(table), "--role", "name"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("codec", ["ga", "classic"])
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_decode_rejects_a_non_finite_threshold(capsys, tmp_path, threshold, codec):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--codec", codec,
+                   "--pairs", "name=Pat", "--out", str(record))
+    assert rc == 0
+    rc, out, err = run(capsys, "decode", "--in", str(record), "--memory", str(table),
+                       "--role", "name", f"--threshold={threshold}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--threshold" in err
+
+
 def test_missing_and_malformed_files(capsys, tmp_path):
     rc, _, err = run(capsys, "encode", "--in", str(tmp_path / "absent.json"),
                      "--pairs", "a=b", "--out", str(tmp_path / "r.json"))
@@ -188,8 +234,11 @@ def test_verify_json(capsys):
 
 
 def test_verify_rejects_other_m(capsys):
-    rc, _, err = run(capsys, "verify", "--m", "3")
-    assert rc == 2 and "m=4" in err
+    # the fixture pins m=4, so verify takes no --m at all
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--m", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --m 3" in capsys.readouterr().err
 
 
 def test_bench_small_smoke(capsys):

@@ -9,10 +9,8 @@ from bladebind.blades import (
     blade_inverse,
     format_blade,
     geometric_product,
-    grade,
     parse_blade,
     product_sign,
-    xor_of,
 )
 from bladebind.codec import (
     SymbolTable,
@@ -78,8 +76,8 @@ def test_inverse_squares_away(a):
 @given(blades(count=2))
 def test_xor_grade_triangle(pair):
     a, b = pair
-    assert hamming(a, b) == grade(xor_of(a, b))
-    assert grade(xor_of(a, b)) >= abs(grade(a) - grade(b))
+    assert hamming(a, b) == (a ^ b).grade()
+    assert (a ^ b).grade() >= abs(a.grade() - b.grade())
 
 
 @given(blades())

@@ -1,7 +1,5 @@
 """The pinned worked-example run and its tamper sensitivity."""
 
-import pytest
-
 from bladebind import codec, multivector, verify
 
 
@@ -18,13 +16,6 @@ def test_verification_passes():
         "generator-product-diagonal",
         "cleanup-winners",
     ]
-
-
-def test_fixture_pins_m():
-    with pytest.raises(ValueError):
-        verify.run_verification(m=3)
-    with pytest.raises(ValueError):
-        verify.run_verification(m=5)
 
 
 def test_report_json_shape():
