@@ -7,9 +7,14 @@ decode by blade inverses plus a similarity clean-up.  The classic
 XOR/majority/Hamming codec is included as a baseline, and Kronecker
 products of Pauli matrices give an independent numerical model used to
 cross-check everything.
+
+The numpy-backed names (the matrix oracle, the pinned verification and
+the bench) are imported on first access, so the codecs and the CLI's
+gen/encode/decode run without loading numpy.
 """
 
-from .bench import run_bench
+import importlib
+
 from .blades import (
     BladeIndex,
     DimensionMismatch,
@@ -20,13 +25,6 @@ from .blades import (
     parse_blade,
     product_sign,
     reversion_sign,
-)
-from .cartan import (
-    blade_matrix,
-    generator_matrix,
-    min_factor_count,
-    pauli,
-    rep,
 )
 from .codec import (
     CleanupMemory,
@@ -44,7 +42,26 @@ from .codec import (
     majority_chunk,
 )
 from .multivector import Multivector, similarity, trace_product
-from .verify import run_verification
+
+# name -> submodule for the re-exports that need numpy
+_LAZY = {
+    "run_bench": "bench",
+    "blade_matrix": "cartan",
+    "generator_matrix": "cartan",
+    "min_factor_count": "cartan",
+    "pauli": "cartan",
+    "rep": "cartan",
+    "run_verification": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_SIZES = (1024, 10_000)
-POOL_SIZE = 64
+POOL_BITS = 6
+POOL_SIZE = 1 << POOL_BITS
 
 # Assertions checked at the largest standard size only.
 ASSERT_AT_N = 10_000
@@ -55,8 +56,9 @@ def _bench_products(n: int, seed: int) -> dict:
         if v:
             pool.append(SignedBlade(1, BladeIndex(n, v)))
     count = _product_count(n)
+    # one draw per pair: 2 * POOL_BITS uniform bits split into two pool indices
     index_pairs = [
-        (rng.randrange(POOL_SIZE), rng.randrange(POOL_SIZE)) for _ in range(count)
+        divmod(rng.getrandbits(2 * POOL_BITS), POOL_SIZE) for _ in range(count)
     ]
 
     t0 = time.perf_counter()

@@ -11,8 +11,6 @@ import json
 import math
 import sys
 
-from . import bench as bench_mod
-from . import verify as verify_mod
 from .codec import (
     CLASSIC,
     GA,
@@ -131,12 +129,16 @@ def cmd_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     report = verify_mod.run_verification()
     _emit(args, report.to_json(), report.format_text())
     return 0 if report.passed else 1
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     sizes = tuple(args.n) if args.n else bench_mod.DEFAULT_SIZES
     result = bench_mod.run_bench(sizes, args.seed)
     _emit(args, result, bench_mod.format_text(result))

@@ -10,6 +10,11 @@ Two interchangeable codings of the same record abstraction:
   independent of the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
+  The vote is bit-sliced over the int bit strings: per-position counts
+  are kept as a few big-int counters (counters[j] holds bit j of every
+  count), added to by XOR/AND ripples and compared against floor(m/2)
+  with bitwise ops, so it needs no numpy and no per-position loop
+  except one coin per exact tie.
 
 Symbol tables draw roles over all nonzero n-bit strings and fillers
 over nonzero k-bit prefixes (remaining positions zero), so unbinding
@@ -24,8 +29,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .blades import (
     BladeIndex,
@@ -369,23 +372,57 @@ def classic_bind(x: BladeIndex, y: BladeIndex) -> BladeIndex:
 
 
 def majority_chunk(items, seed: int) -> BladeIndex:
-    """Per-position majority vote; exact ties resolved by a seeded coin."""
+    """Per-position majority vote; exact ties resolved by a seeded coin.
+
+    The per-position counts are kept bit-sliced: counters[j] holds bit j
+    of every position's count, so adding an item is a ripple of XOR/AND
+    over whole bit strings.  Comparing the counts against floor(m/2)
+    from the top counter down gives the "above" and "equal" masks.  An
+    exact tie (only possible for even m) takes one coin from
+    random.Random(seed) per tied position, in position order from 1.
+    """
     items = list(items)
     if not items:
         raise ValueError("majority vote over an empty list")
     n = items[0].n
+    counters: list[int] = []
     for b in items:
         if b.n != n:
             raise ValueError(f"mixed dimensions in majority vote: {b.n} vs {n}")
-    rows = np.stack([_bit_array(b) for b in items])
-    twice = 2 * rows.sum(axis=0, dtype=np.int64)
-    out = (twice > len(items)).astype(np.uint8)
-    ties = np.nonzero(twice == len(items))[0]
-    if ties.size:
-        rng = random.Random(seed)
-        for pos in ties:
-            out[pos] = rng.getrandbits(1)
-    return _from_bit_array(out, n)
+        carry = b.value
+        for j, count_bit in enumerate(counters):
+            counters[j] = count_bit ^ carry
+            carry &= count_bit
+            if not carry:
+                break
+        else:
+            if carry:
+                counters.append(carry)
+    m = len(items)
+    half = m // 2
+    above = 0
+    equal = (1 << n) - 1
+    counters += [0] * (half.bit_length() - len(counters))
+    for j in reversed(range(len(counters))):
+        count_bit = counters[j]
+        if half >> j & 1:
+            equal &= count_bit
+        else:
+            above |= equal & count_bit
+            equal &= ~count_bit
+    if m % 2 == 0 and equal:
+        above |= _coin_flips(equal, n, seed)
+    return BladeIndex(n, above)
+
+
+def _coin_flips(ties: int, n: int, seed: int) -> int:
+    """One seeded coin per set bit of ties, drawn from position 1 onwards."""
+    draw = random.Random(seed).getrandbits
+    gaps = format(ties, f"0{n}b").split("1")
+    digits = [""] * (2 * len(gaps) - 1)
+    digits[::2] = gaps
+    digits[1::2] = ["01"[draw(1)] for _ in range(len(gaps) - 1)]
+    return int("".join(digits), 2)
 
 
 def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
@@ -434,19 +471,3 @@ def hamming(a: BladeIndex, b: BladeIndex) -> int:
     """Number of differing positions."""
     _check_dims(a, b)
     return (a.value ^ b.value).bit_count()
-
-
-# --- bit-array helpers (classic chunking) -------------------------------------------
-
-
-def _bit_array(b: BladeIndex) -> np.ndarray:
-    nbytes = (b.n + 7) // 8
-    raw = np.frombuffer(b.value.to_bytes(nbytes, "big"), dtype=np.uint8)
-    return np.unpackbits(raw)[8 * nbytes - b.n :]
-
-
-def _from_bit_array(bits: np.ndarray, n: int) -> BladeIndex:
-    pad = (-n) % 8
-    if pad:
-        bits = np.concatenate([np.zeros(pad, dtype=np.uint8), bits])
-    return BladeIndex(n, int.from_bytes(np.packbits(bits).tobytes(), "big"))

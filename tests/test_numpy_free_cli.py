@@ -1,0 +1,63 @@
+"""gen, encode and decode run without importing numpy; the oracle names load on use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs `python -m bladebind <argv...>` and reports, at interpreter exit,
+# whether numpy was ever imported.
+CLI_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+sys.argv = ["bladebind", *sys.argv[1:]]
+runpy.run_module("bladebind", run_name="__main__", alter_sys=True)
+"""
+
+EXPORT_PROBE = """
+import sys
+import bladebind
+assert "numpy" not in sys.modules, "import bladebind loaded numpy"
+for name in ("rep", "run_verification", "run_bench"):
+    assert callable(getattr(bladebind, name)), name
+from bladebind import blade_matrix, pauli
+assert "numpy" in sys.modules
+"""
+
+
+def python(*argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def run_cli(tmp_path, *argv):
+    proc = python("-c", CLI_PROBE, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+    return proc.stdout
+
+
+@pytest.mark.parametrize("codec", ["ga", "classic"])
+def test_gen_encode_decode_never_import_numpy(tmp_path, codec):
+    run_cli(tmp_path, "gen", "--n", "256", "--k", "64", "--seed", "3",
+            "--roles", "a,b,c,d", "--fillers", "w,x,y,z", "--out", "t.json")
+    run_cli(tmp_path, "encode", "--in", "t.json", "--codec", codec,
+            "--pairs", "a=w,b=x,c=y,d=z", "--out", "r.json")
+    out = run_cli(tmp_path, "decode", "--in", "r.json", "--memory", "t.json",
+                  "--role", "c")
+    assert out.startswith("role=c filler=y ")
+
+
+def test_numpy_backed_exports_resolve_on_first_use(tmp_path):
+    proc = python("-c", EXPORT_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

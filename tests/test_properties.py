@@ -1,5 +1,7 @@
 """Property-based checks of the algebraic laws, cross-validated oracles."""
 
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -116,8 +118,6 @@ def test_similarity_is_symmetric(x, y):
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 7))
 @settings(max_examples=40)
 def test_majority_of_identical_items_is_identity(n, seed, copies):
-    import random
-
     item = BladeIndex(n, random.Random(seed).getrandbits(n))
     assert majority_chunk([item] * copies, seed=0) == item
 
@@ -217,3 +217,68 @@ def test_ga_decode_matches_the_filler_scan_at_width(seed, n, filler_count, data)
         data, table, 12, st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
     )
     assert_decodes_like_the_scan(record, table)
+
+
+# --- classic majority vote against two independent votes ---------------------------
+
+
+def numpy_majority(items, seed):
+    """The numpy vote `majority_chunk` used to run: unpack, sum columns, flip ties."""
+    import numpy as np
+
+    n = items[0].n
+    nbytes = (n + 7) // 8
+    rows = np.stack([
+        np.unpackbits(np.frombuffer(b.value.to_bytes(nbytes, "big"), dtype=np.uint8))[
+            8 * nbytes - n :
+        ]
+        for b in items
+    ])
+    twice = 2 * rows.sum(axis=0, dtype=np.int64)
+    out = (twice > len(items)).astype(np.uint8)
+    rng = random.Random(seed)
+    for pos in np.nonzero(twice == len(items))[0]:
+        out[pos] = rng.getrandbits(1)
+    padded = np.concatenate([np.zeros((-n) % 8, dtype=np.uint8), out])
+    return BladeIndex(n, int.from_bytes(np.packbits(padded).tobytes(), "big"))
+
+
+def column_majority(items, seed):
+    """Per-position vote over the '0'/'1' literals, ties by the coin from position 1."""
+    rng = random.Random(seed)
+    n, m = items[0].n, len(items)
+    out = []
+    for column in zip(*(format(b.value, f"0{n}b") for b in items)):
+        twice = 2 * column.count("1")
+        out.append("1" if twice > m else "0" if twice < m else str(rng.getrandbits(1)))
+    return BladeIndex(n, int("".join(out), 2))
+
+
+# Widths around and between byte and word boundaries, and two large ones.
+VOTE_WIDTHS = [*range(1, 10), 63, 64, 65, 1024, 10_000]
+
+
+@st.composite
+def vote_inputs(draw):
+    n = draw(st.sampled_from(VOTE_WIDTHS))
+    full = (1 << n) - 1
+    word = st.one_of(
+        st.sampled_from([0, full]),
+        st.integers(0, 2**32 - 1).map(lambda s: random.Random(s).getrandbits(n)),
+    )
+    values = draw(st.lists(word, min_size=1, max_size=16))
+    if draw(st.booleans()):
+        # Each value with its complement: every position is an exact tie.
+        values += [v ^ full for v in values]
+    else:
+        repeats = draw(st.lists(st.sampled_from(values), max_size=4))
+        values = draw(st.permutations(values + repeats))
+    return [BladeIndex(n, v) for v in values]
+
+
+@given(vote_inputs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_majority_chunk_matches_the_numpy_and_column_votes(items, seed):
+    got = majority_chunk(items, seed)
+    assert got == numpy_majority(items, seed)
+    assert got == column_majority(items, seed)
