@@ -21,6 +21,7 @@ independent implementations for differential testing.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 __all__ = [
@@ -43,10 +44,11 @@ class DimensionMismatch(ValueError):
     """Raised when blades from algebras of different dimension are combined."""
 
 
-def _check_dims(a: "BladeIndex", b: "BladeIndex") -> None:
+def _check_dims(a, b) -> None:
+    """Blades or multivectors: both operands must share the dimension n."""
     if a.n != b.n:
         raise DimensionMismatch(
-            f"blades live in different algebras (n={a.n} vs n={b.n})"
+            f"operands live in different algebras (n={a.n} vs n={b.n})"
         )
 
 
@@ -88,7 +90,15 @@ class BladeIndex:
             raise ValueError(
                 f"hex literal {text!r} has {len(text)} nibbles, expected {(n + 3) // 4}"
             )
-        return cls(n, int(text, 16))
+        # unhexlify takes hex digits only, where int(text, 16) would also
+        # take signs, spaces, underscores and a 0x prefix.
+        try:
+            raw = binascii.unhexlify("0" * (len(text) % 2) + text)
+        except ValueError:
+            raise ValueError(
+                f"hex literal {text!r} has characters outside 0-9a-fA-F"
+            ) from None
+        return cls(n, int.from_bytes(raw, "big"))
 
     @classmethod
     def from_positions(cls, positions, n: int) -> "BladeIndex":
@@ -116,11 +126,6 @@ class BladeIndex:
     def hex(self) -> str:
         """Big-endian hex form, left-padded to ceil(n/4) nibbles."""
         return format(self.value, f"0{(self.n + 3) // 4}x")
-
-    @property
-    def literal(self) -> str:
-        """Binary for short blades, hex for long ones (see format_blade)."""
-        return format_blade(self)
 
     def grade(self) -> int:
         """Number of generators present (the blade's grade)."""
@@ -177,7 +182,7 @@ class BladeIndex:
         return self.value < other.value
 
     def __repr__(self) -> str:
-        return f"BladeIndex({self.literal!r})" if self.n <= BINARY_LITERAL_MAX else (
+        return f"BladeIndex({format_blade(self)!r})" if self.n <= BINARY_LITERAL_MAX else (
             f"BladeIndex(n={self.n}, hex={self.hex!r})"
         )
 
@@ -205,7 +210,7 @@ class SignedBlade:
 
     def __repr__(self) -> str:
         mark = "+" if self.sign > 0 else "-"
-        return f"SignedBlade({mark}{self.index.literal})"
+        return f"SignedBlade({mark}{format_blade(self.index)})"
 
 
 # --- operations -------------------------------------------------------------
@@ -259,10 +264,7 @@ def parse_blade(text: str, n: int | None = None) -> BladeIndex:
     if len(text) == n and not set(text) - {"0", "1"}:
         return BladeIndex.from_bits(text)
     if len(text) == (n + 3) // 4:
-        try:
-            return BladeIndex.from_hex(text, n)
-        except ValueError as exc:
-            raise ValueError(f"bad hex blade literal {text!r} for n={n}") from exc
+        return BladeIndex.from_hex(text, n)
     raise ValueError(f"blade literal {text!r} matches neither binary nor hex for n={n}")
 
 

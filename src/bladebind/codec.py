@@ -4,10 +4,11 @@ Two interchangeable codings of the same record abstraction:
 
 * GA codec: binding is the signed blade product, chunking is sparse
   coefficient addition.  Clean-up ranks the fillers by the reversion
-  similarity, which for a unit filler blade is exactly its coefficient
-  in the unbound result; so it reads the filler blades present among
-  the unbound terms, O(P) per decode for a P-pair record and
-  independent of the filler count.
+  similarity, the scalar part of reverse(x) * y, which is the sum of
+  x_b * y_b over shared blades b; for a unit filler blade that is
+  exactly its coefficient in the unbound result.  So it reads the
+  filler blades present among the unbound terms, O(P) per decode for a
+  P-pair record and independent of the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
   The vote is bit-sliced over the int bit strings: per-position counts
@@ -128,8 +129,8 @@ class SymbolTable:
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolTable":
         try:
-            n = int(obj["n"])
-            k = int(obj["k"])
+            n = _json_value(obj["n"], (int,), "n")
+            k = _json_value(obj["k"], (int,), "k")
             roles = {name: parse_blade(lit, n) for name, lit in obj["roles"].items()}
             fillers = {
                 name: parse_blade(lit, n) for name, lit in obj["fillers"].items()
@@ -139,14 +140,30 @@ class SymbolTable:
         return cls(n=n, k=k, roles=roles, fillers=fillers)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "SymbolTable":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_json(path))
+
+
+def _json_value(value, types: tuple, what: str):
+    """value, if its exact type is one of types (so true is not an int)."""
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{what} must be a JSON {names}, got {value!r}")
+    return value
+
+
+def _write_json(obj: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTable:
@@ -220,9 +237,13 @@ class EncodedRecord:
     def from_json(cls, obj: dict) -> "EncodedRecord":
         try:
             codec = obj["codec"]
-            n = int(obj["n"])
+            n = _json_value(obj["n"], (int,), "n")
             if codec == GA:
-                return cls(GA, payload=Multivector.from_pairs(obj["terms"], n))
+                terms = [
+                    (_json_value(c, (int, float), "coefficient"), lit)
+                    for c, lit in obj["terms"]
+                ]
+                return cls(GA, payload=Multivector.from_pairs(terms, n))
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
@@ -230,14 +251,11 @@ class EncodedRecord:
         raise ValueError(f"unknown codec {codec!r}")
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "EncodedRecord":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -367,7 +385,6 @@ def _resolve(mapping: dict, name: str, kind: str) -> BladeIndex:
 
 def classic_bind(x: BladeIndex, y: BladeIndex) -> BladeIndex:
     """XOR binding; its own inverse, so binding twice with x recovers y."""
-    _check_dims(x, y)
     return x ^ y
 
 

@@ -15,6 +15,7 @@ import math
 from .blades import (
     BladeIndex,
     SignedBlade,
+    _check_dims,
     format_blade,
     parse_blade,
     product_sign,
@@ -103,7 +104,7 @@ class Multivector:
     # --- linear structure ---------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        _check_mv_dims(self, other)
+        _check_dims(self, other)
         acc = dict(self._terms)
         for idx, c in other._terms.items():
             acc[idx] = acc.get(idx, 0.0) + c
@@ -127,7 +128,7 @@ class Multivector:
 
     def gp(self, other: "Multivector") -> "Multivector":
         """Geometric product, distributed over all term pairs."""
-        _check_mv_dims(self, other)
+        _check_dims(self, other)
         acc: dict[BladeIndex, float] = {}
         for ia, ca in self._terms.items():
             for ib, cb in other._terms.items():
@@ -185,25 +186,28 @@ class Multivector:
         return f"Multivector(n={self.n}, {{{body}}})"
 
 
-def _check_mv_dims(x: Multivector, y: Multivector) -> None:
-    if x.n != y.n:
-        raise ValueError(
-            f"multivectors live in different algebras (n={x.n} vs n={y.n})"
-        )
-
-
 def similarity(x: Multivector, y: Multivector) -> float:
     """Positive-definite clean-up form: scalar part of reverse(x) * y.
 
-    The reversion sign cancels the blade-square sign term by term, so
-    similarity(x, x) is exactly the sum of squared coefficients.
+    Each blade times its own reverse is +1, so the scalar part is the
+    coefficient sum of x_b * y_b over the blades b both operands share,
+    read off the terms without forming the product.
     """
-    _check_mv_dims(x, y)
-    return x.reverse().gp(y).scalar_part()
+    _check_dims(x, y)
+    terms = y._terms
+    total = 0.0
+    for idx, c in x._terms.items():
+        d = terms.get(idx)
+        if d is not None:
+            total += c * d
+    return _finite(total)
 
 
 def trace_product(x: Multivector, y: Multivector, m: int) -> float:
     """Matrix-trace scalar product evaluated algebraically: 2^m * <x*y>_0.
+
+    Reversion is an involution, so <x*y>_0 is similarity(reverse(x), y),
+    the coefficient sum over shared blades.
 
     m is the Pauli factor count of the representation the trace refers
     to; the algebra needs n <= 2m generators to be representable.  The
@@ -214,7 +218,12 @@ def trace_product(x: Multivector, y: Multivector, m: int) -> float:
     generators packed into 2x2 give a top blade proportional to the
     identity), which is why m is part of this function's contract.
     """
-    _check_mv_dims(x, y)
     if x.n > 2 * m:
         raise ValueError(f"n={x.n} needs at least {(x.n + 1) // 2} Pauli factors, got m={m}")
-    return float(1 << m) * x.gp(y).scalar_part()
+    return _finite(float(1 << m) * similarity(x.reverse(), y))
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"scalar part {value!r} is not finite")
+    return value

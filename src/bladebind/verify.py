@@ -16,7 +16,7 @@ tampered sign rule upstream shows up here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,18 +84,7 @@ class VerificationReport:
         return next((c for c in self.checks if not c.passed), None)
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, **asdict(self)}
 
     def format_text(self) -> str:
         lines = []

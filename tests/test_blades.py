@@ -227,6 +227,26 @@ def test_parse_blade_length_mismatch():
         parse_blade("zz", 8)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+2ce6000000000000000",  # int(text, 16) takes a sign,
+        "c_ce6000000000000000",  # an underscore between digits,
+        " 2ce6000000000000000",  # surrounding whitespace
+        "0x2ce600000000000000",  # and a 0x prefix
+        "-2ce6000000000000000",
+        "2ce600000000000000\u0663\u0663",  # and non-ASCII digits
+    ],
+)
+def test_hex_literals_take_hex_digits_only(text):
+    assert len(text) == 20  # the nibble count for n=80
+    with pytest.raises(ValueError, match="0-9a-fA-F"):
+        BladeIndex.from_hex(text, 80)
+    with pytest.raises(ValueError):
+        parse_blade(text, 80)
+    assert parse_blade("02CE6000000000000000", 80) == BladeIndex(80, 0x2CE6 << 60)
+
+
 def test_hex_and_bits_views_agree():
     x = b("10110001")
     assert x.hex == "b1"

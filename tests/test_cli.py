@@ -189,6 +189,78 @@ def test_number_overflow_in_input_files_exits_2(capsys, tmp_path, case):
     assert err.startswith("error:")
 
 
+def assert_usage_error(capsys, *argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+    return err
+
+
+@pytest.mark.parametrize(
+    "literal", ["+2ce6000000000000000", "c_ce6000000000000000", " 2ce6000000000000000"]
+)
+def test_hex_literals_outside_0_9a_f_exit_2(capsys, tmp_path, literal):
+    table = gen_table(capsys, tmp_path, n=80, k=20)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                   "--out", str(record))
+    assert rc == 0
+    obj = json.loads(table.read_text())
+    obj["fillers"]["male"] = literal  # int(literal, 16) fits the filler support
+    table.write_text(json.dumps(obj))
+    err = assert_usage_error(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                             "--out", str(tmp_path / "again.json"))
+    assert "0-9a-fA-F" in err
+    assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                       "--role", "name")
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("record", "n", 64.7),
+        ("record", "n", "64"),
+        ("record", "n", 64.0),
+        ("table", "n", "64"),
+        ("table", "k", 16.5),
+        ("table", "k", "16"),
+        ("table-k1", "k", True),
+    ],
+)
+def test_header_fields_must_be_json_integers(capsys, tmp_path, where, key, value):
+    if where == "table-k1":  # k=1 hosts one filler, and true would read as 1
+        table = tmp_path / "table.json"
+        run(capsys, "gen", "--n", "64", "--k", "1", "--roles", "name",
+            "--fillers", "Pat", "--out", str(table))
+    else:
+        table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                   "--out", str(record))
+    assert rc == 0
+    path = record if where == "record" else table
+    obj = json.loads(path.read_text())
+    obj[key] = value
+    path.write_text(json.dumps(obj))
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert f"{key} must be a JSON int" in err
+
+
+@pytest.mark.parametrize("coefficient", ["2", "1e3", True])
+def test_record_coefficients_must_be_json_numbers(capsys, tmp_path, coefficient):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,sex=male",
+        "--out", str(record))
+    obj = json.loads(record.read_text())
+    obj["terms"][0][0] = coefficient
+    record.write_text(json.dumps(obj))
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert "coefficient must be a JSON int or float" in err
+
+
 @pytest.mark.parametrize("codec", ["ga", "classic"])
 @pytest.mark.parametrize("threshold", ["nan", "inf"])
 def test_decode_rejects_a_non_finite_threshold(capsys, tmp_path, threshold, codec):

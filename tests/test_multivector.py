@@ -103,6 +103,29 @@ def test_similarity_of_distinct_blades_is_zero():
     assert similarity(x, mv([(4.0, "1100")])) == 4.0
 
 
+def test_an_overflowing_scalar_part_is_rejected():
+    x = mv([(1e200, "0011")])
+    with pytest.raises(ValueError, match="not finite"):
+        similarity(x, x)
+    with pytest.raises(ValueError, match="not finite"):
+        trace_product(x, x, 2)
+    big = mv([(1e308, "1000")])
+    with pytest.raises(ValueError, match="not finite"):
+        trace_product(big, mv([(1.0, "1000")]), 2)  # finite <xy>_0, 2^m * it is not
+
+
+def test_overflow_off_the_scalar_part_leaves_it_finite():
+    # x * y and reverse(x) * y both overflow on blade 0110 only
+    x = mv([(1e200, "0011")])
+    y = mv([(1e200, "0101")])
+    assert similarity(x, y) == 0.0
+    assert trace_product(x, y, 2) == 0.0
+    x = mv([(1e200, "0011"), (2.0, "1000")])
+    y = mv([(1e200, "0101"), (3.0, "1000")])
+    assert similarity(x, y) == 6.0
+    assert trace_product(x, y, 2) == 24.0
+
+
 def test_trace_product_matches_matrix_trace():
     rng = np.random.default_rng(7)
     n, m = 5, 3

@@ -22,7 +22,7 @@ from bladebind.codec import (
     hamming,
     majority_chunk,
 )
-from bladebind.multivector import Multivector, similarity
+from bladebind.multivector import Multivector, similarity, trace_product
 from bladebind.reference import product_by_transposition_sort, sign_by_crossing_count
 
 
@@ -113,6 +113,38 @@ def test_similarity_is_positive_definite(x):
 @given(multivectors(), multivectors())
 def test_similarity_is_symmetric(x, y):
     assert similarity(x, y) == similarity(y, x)
+
+
+# Mixed signs, magnitudes up to 1e100: sums of up to 8 products
+# stay finite, so the full product never overflows where the scalar
+# part does not.
+_coefficients = st.one_of(
+    st.integers(-5, 5).map(float),
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def overlapping_multivectors(draw):
+    """Two multivectors drawn from one small blade pool, so terms collide."""
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([65, 96, 200])))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+    x, y = (
+        draw(st.dictionaries(st.sampled_from(pool), _coefficients, max_size=len(pool)))
+        for _ in range(2)
+    )
+    return tuple(
+        Multivector(n, {BladeIndex(n, v): c for v, c in terms.items()}) for terms in (x, y)
+    )
+
+
+@given(overlapping_multivectors())
+@settings(max_examples=400, deadline=None)
+def test_scalar_products_equal_the_scalar_part_of_the_full_product(pair):
+    x, y = pair
+    m = (x.n + 1) // 2
+    assert similarity(x, y) == x.reverse().gp(y).scalar_part()
+    assert trace_product(x, y, m) == float(1 << m) * x.gp(y).scalar_part()
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 7))
