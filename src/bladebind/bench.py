@@ -86,11 +86,13 @@ def _bench_products(n: int, seed: int) -> dict:
     }
 
 
-def _bench_codec(n: int, seed: int) -> dict:
-    k = max(1, n // 4)
-    table = gen_symbols(seed, n, k, ["r1", "r2", "r3"], ["f1", "f2", "f3"])
+def _codec_table(n: int, seed: int):
+    return gen_symbols(seed, n, max(1, n // 4), ["r1", "r2", "r3"], ["f1", "f2", "f3"])
+
+
+def _bench_codec(table) -> dict:
     pairs = [("r1", "f1"), ("r2", "f2"), ("r3", "f3")]
-    reps = 100 if n <= 2048 else 10
+    reps = 100 if table.n <= 2048 else 10
 
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -103,7 +105,7 @@ def _bench_codec(n: int, seed: int) -> dict:
     decode_elapsed = max(time.perf_counter() - t0, 1e-9)
 
     return {
-        "codec_k": k,
+        "codec_k": table.k,
         "codec_pairs": len(pairs),
         "codec_reps": reps,
         "encode_ms": encode_elapsed / reps * 1e3,
@@ -112,12 +114,17 @@ def _bench_codec(n: int, seed: int) -> dict:
 
 
 def run_bench(sizes=DEFAULT_SIZES, seed: int = 0) -> dict:
-    """Measure every requested size; assert the kernel bounds at n=10^4."""
+    """Measure every requested size; assert the kernel bounds at n=10^4.
+
+    Every size's codec table is built before anything is timed, so a
+    size too small to host it fails at once.
+    """
+    tables = [_codec_table(n, seed) for n in sizes]
     entries = []
-    for n in sizes:
-        entry = {"n": n}
-        entry.update(_bench_products(n, seed))
-        entry.update(_bench_codec(n, seed))
+    for table in tables:
+        entry = {"n": table.n}
+        entry.update(_bench_products(table.n, seed))
+        entry.update(_bench_codec(table))
         entries.append(entry)
     result = {"seed": seed, "sizes": entries}
     gate = next((e for e in entries if e["n"] == ASSERT_AT_N), None)

@@ -251,16 +251,13 @@ def reversion_sign(k: int) -> int:
 # --- textual literals ---------------------------------------------------------
 
 
-def parse_blade(text: str, n: int | None = None) -> BladeIndex:
-    """Parse a blade literal, binary or hex.
+def parse_blade(text: str, n: int) -> BladeIndex:
+    """Parse an n-bit blade literal, binary or hex.
 
-    With n unknown the literal must be binary and its length fixes n.
-    With n given, a literal of length n over '0'/'1' is binary and a
-    literal of ceil(n/4) hex digits is hex (the two lengths only agree
-    for n=1, where both readings coincide).
+    A literal of length n over '0'/'1' is binary and a literal of
+    ceil(n/4) hex digits is hex (the two lengths only agree for n=1,
+    where both readings coincide).
     """
-    if n is None:
-        return BladeIndex.from_bits(text)
     if len(text) == n and not set(text) - {"0", "1"}:
         return BladeIndex.from_bits(text)
     if len(text) == (n + 3) // 4:

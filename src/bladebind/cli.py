@@ -17,6 +17,7 @@ from .codec import (
     CleanupMemory,
     EncodedRecord,
     SymbolTable,
+    _resolve,
     classic_decode,
     classic_encode,
     ga_decode,
@@ -112,10 +113,9 @@ def cmd_decode(args) -> int:
             f"below-threshold={'yes' if below else 'no'}",
         )
     else:
-        if args.role not in table.roles:
-            raise ValueError(f"unknown role {args.role!r}")
+        role = _resolve(table.roles, args.role, "role")
         memory = CleanupMemory.from_table(table, "hamming")
-        res = classic_decode(record.bits, table.roles[args.role], memory)
+        res = classic_decode(record.bits, role, memory)
         below = args.threshold is not None and res.distance > args.threshold
         _emit(
             args,

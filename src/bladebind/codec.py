@@ -65,18 +65,33 @@ GA = "ga"
 CLASSIC = "classic"
 
 
+class _JsonFile:
+    """save/load as indented JSON, built on the subclass's to_json/from_json."""
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_json(), fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_json(json.load(fh))
+
+
 # --- symbol tables ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SymbolTable:
+class SymbolTable(_JsonFile):
     """Named role and filler blades sharing one dimension.
 
     k is the filler support width: every filler is zero beyond position
     k.  Roles use all n positions.  Names are unique across the whole
     table and no two symbols share a bit string.  Treat the mappings as
-    read-only: validation also caches a filler value -> name map for
-    the GA clean-up, which a later change to `fillers` would not update.
+    read-only: validation also keeps one value -> name index of every
+    symbol for the GA clean-up, which a later change to `roles` or
+    `fillers` would not update.
     """
 
     n: int
@@ -90,9 +105,7 @@ class SymbolTable:
         overlap = self.roles.keys() & self.fillers.keys()
         if overlap:
             raise ValueError(f"names used as both role and filler: {sorted(overlap)}")
-        low = (1 << (self.n - self.k)) - 1
-        seen: dict[int, str] = {}
-        filler_names: dict[int, str] = {}
+        names: dict[int, str] = {}
         for kind, mapping in (("role", self.roles), ("filler", self.fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
@@ -103,18 +116,20 @@ class SymbolTable:
                     )
                 if blade.is_scalar:
                     raise ValueError(f"{kind} {name!r} is the all-zero string")
-                if kind == "filler" and blade.value & low:
+                # bits beyond position k sit below machine bit n - k: the
+                # lowest set bit tells, with no n-bit mask to build
+                if kind == "filler" and (
+                    (blade.value & -blade.value).bit_length() <= self.n - self.k
+                ):
                     raise ValueError(
                         f"filler {name!r} has bits beyond position {self.k}"
                     )
-                if blade.value in seen:
+                if blade.value in names:
                     raise ValueError(
-                        f"{kind} {name!r} collides with {seen[blade.value]!r}"
+                        f"{kind} {name!r} collides with {names[blade.value]!r}"
                     )
-                seen[blade.value] = name
-                if kind == "filler":
-                    filler_names[blade.value] = name
-        object.__setattr__(self, "_filler_names", filler_names)
+                names[blade.value] = name
+        object.__setattr__(self, "_names", names)
 
     # - serialization -
 
@@ -139,13 +154,6 @@ class SymbolTable:
             raise ValueError(f"malformed symbol table: {exc}") from exc
         return cls(n=n, k=k, roles=roles, fillers=fillers)
 
-    def save(self, path) -> None:
-        _write_json(self.to_json(), path)
-
-    @classmethod
-    def load(cls, path) -> "SymbolTable":
-        return cls.from_json(_read_json(path))
-
 
 def _json_value(value, types: tuple, what: str):
     """value, if its exact type is one of types (so true is not an int)."""
@@ -153,17 +161,6 @@ def _json_value(value, types: tuple, what: str):
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"{what} must be a JSON {names}, got {value!r}")
     return value
-
-
-def _write_json(obj: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def _read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTable:
@@ -207,7 +204,7 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
 
 
 @dataclass(frozen=True)
-class EncodedRecord:
+class EncodedRecord(_JsonFile):
     """A chunked record: a sparse multivector (GA) or one bit string (classic)."""
 
     codec: str
@@ -249,13 +246,6 @@ class EncodedRecord:
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed record: {exc}") from exc
         raise ValueError(f"unknown codec {codec!r}")
-
-    def save(self, path) -> None:
-        _write_json(self.to_json(), path)
-
-    @classmethod
-    def load(cls, path) -> "EncodedRecord":
-        return cls.from_json(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -348,14 +338,13 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     ambiguous = False
     # items() ascends by blade, so a later exact tie never displaces the winner.
     for idx, _ in raw.items():
-        name = table._filler_names.get(idx.value)
-        if name is None:
+        name = table._names.get(idx.value)
+        if name not in table.fillers:
             continue
-        blade = table.fillers[name]
-        s = similarity(Multivector.from_blade(blade), raw)
+        s = similarity(Multivector.from_blade(idx), raw)
         if abs(s) > best_abs:
             best_abs = abs(s)
-            winner = (name, blade, s)
+            winner = (name, idx, s)
             ambiguous = False
         elif abs(s) == best_abs:
             ambiguous = True

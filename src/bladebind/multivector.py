@@ -59,15 +59,11 @@ class Multivector:
     # --- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "Multivector":
-        return cls(n)
-
-    @classmethod
-    def from_blade(cls, b, coeff: float = 1.0) -> "Multivector":
+    def from_blade(cls, b) -> "Multivector":
         """Single-term multivector; a bare BladeIndex counts as +1 signed."""
         if isinstance(b, SignedBlade):
-            return cls(b.index.n, {b.index: b.sign * coeff})
-        return cls(b.n, {b: coeff})
+            return cls(b.index.n, {b.index: b.sign})
+        return cls(b.n, {b: 1.0})
 
     @classmethod
     def from_pairs(cls, pairs, n: int) -> "Multivector":
@@ -94,9 +90,6 @@ class Multivector:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -119,11 +112,6 @@ class Multivector:
     def scaled(self, factor: float) -> "Multivector":
         return Multivector(self.n, {idx: factor * c for idx, c in self._terms.items()})
 
-    def __rmul__(self, factor):
-        if isinstance(factor, (int, float)):
-            return self.scaled(factor)
-        return NotImplemented
-
     # --- products -----------------------------------------------------------
 
     def gp(self, other: "Multivector") -> "Multivector":
@@ -142,6 +130,8 @@ class Multivector:
         if isinstance(other, (int, float)):
             return self.scaled(other)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def reverse(self) -> "Multivector":
         """Reversion: each grade-k term picks up (-1)^(k(k-1)/2)."""
@@ -176,9 +166,7 @@ class Multivector:
                 return False
         return True
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multivector) and self.approx_eq(other)
-
+    __eq__ = approx_eq
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
     def __repr__(self) -> str:
@@ -220,7 +208,13 @@ def trace_product(x: Multivector, y: Multivector, m: int) -> float:
     """
     if x.n > 2 * m:
         raise ValueError(f"n={x.n} needs at least {(x.n + 1) // 2} Pauli factors, got m={m}")
-    return _finite(float(1 << m) * similarity(x.reverse(), y))
+    s = similarity(x.reverse(), y)
+    # ldexp scales by 2^m without forming it (a float 2^m overflows from
+    # m = 1024 on), and raises where the scaled value would be +-inf
+    try:
+        return math.ldexp(s, m)
+    except OverflowError:
+        return _finite(math.copysign(math.inf, s))
 
 
 def _finite(value: float) -> float:

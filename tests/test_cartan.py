@@ -155,7 +155,7 @@ def test_rep_is_linear_in_the_terms():
         BladeIndex.from_bits("1111"), m
     )
     assert np.abs(rep(x, m) - expected).max() <= 1e-12
-    assert np.array_equal(rep(Multivector.zero(4), m), np.zeros((16, 16)))
+    assert np.array_equal(rep(Multivector(4), m), np.zeros((16, 16)))
 
 
 def test_rep_respects_products():

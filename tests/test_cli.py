@@ -1,10 +1,17 @@
 """Command-line round trips, exit codes, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bladebind import bench
 from bladebind.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -334,6 +341,32 @@ def test_bench_deterministic_op_counts(capsys):
     first = {k: json.loads(out1)["sizes"][0][k] for k in keys}
     second = {k: json.loads(out2)["sizes"][0][k] for k in keys}
     assert first == second
+
+
+@pytest.mark.parametrize("n", ["0", "3"])
+def test_bench_rejects_a_too_small_size_at_once(tmp_path, n):
+    # a child process with a timeout: at n=0 a blade pool that never
+    # fills would hang the test run itself
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bladebind", "bench", "--n", n],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
+def test_bench_checks_every_size_before_timing(capsys, monkeypatch):
+    def no_timing(n, seed):
+        raise AssertionError(f"timed n={n} before checking every size")
+
+    monkeypatch.setattr(bench, "_bench_products", no_timing)
+    rc, out, err = run(capsys, "bench", "--n", "64", "--n", "3")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: n=3, k=1 cannot host 6 distinct symbols\n"
 
 
 def test_usage_error_without_subcommand():

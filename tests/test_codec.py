@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,29 @@ def test_symbol_table_validation():
         SymbolTable(n=4, k=2, roles={"r": b("1100")}, fillers={"f": b("1100")})
     with pytest.raises(ValueError):  # wrong dimension
         SymbolTable(n=4, k=2, roles={"r": b("10100")}, fillers={})
+
+
+def test_filler_support_check_at_every_boundary():
+    # n=8, k=3: a filler may only use positions 1..3, machine bits 7..5
+    for value in range(1, 256):
+        fillers = {"f": BladeIndex(8, value)}
+        if value & 0b11111:
+            with pytest.raises(ValueError, match="beyond position 3"):
+                SymbolTable(n=8, k=3, roles={}, fillers=fillers)
+        else:
+            SymbolTable(n=8, k=3, roles={}, fillers=fillers)
+
+
+def test_table_memory_is_bounded_by_the_input():
+    # a four-field file must not make the loader build an n-bit mask
+    tracemalloc.start()
+    try:
+        table = SymbolTable.from_json({"n": 10**9, "k": 1, "roles": {}, "fillers": {}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.n == 10**9
+    assert peak < 1 << 20  # one n-bit int alone would be 125 MB
 
 
 def test_symbol_table_json_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Sparse multivector arithmetic, projection, similarity, trace form."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ def test_linear_ops():
     assert (x - y) == mv([(-2.0, "1000"), (4.0, "0110")])
     assert (-x) == mv([(-1.0, "1000"), (-2.0, "0110")])
     assert 2 * x == mv([(2.0, "1000"), (4.0, "0110")])
-    assert x * 0 == Multivector.zero(4)
+    assert x * 0 == Multivector(4)
 
 
 def test_product_distributes_over_terms():
@@ -93,7 +95,7 @@ def test_project_to_support():
 def test_similarity_is_the_squared_norm_on_the_diagonal():
     x = mv([(2.0, "1100"), (-3.0, "0111"), (1.5, "0000")])
     assert similarity(x, x) == 2.0**2 + 3.0**2 + 1.5**2
-    assert similarity(x, Multivector.zero(4)) == 0.0
+    assert similarity(x, Multivector(4)) == 0.0
 
 
 def test_similarity_of_distinct_blades_is_zero():
@@ -124,6 +126,26 @@ def test_overflow_off_the_scalar_part_leaves_it_finite():
     y = mv([(1e200, "0101"), (3.0, "1000")])
     assert similarity(x, y) == 6.0
     assert trace_product(x, y, 2) == 24.0
+
+
+def test_trace_product_beyond_a_float_power_of_two():
+    # 2^m alone overflows a float for m >= 1024; the product need not
+    n, m = 10_000, 5000
+    x = Multivector.from_blade(BladeIndex(n, 1))
+    y = Multivector.from_blade(BladeIndex(n, 2))
+    assert trace_product(x, y, m) == 0.0  # zero scalar part
+    with pytest.raises(ValueError, match="not finite"):
+        trace_product(x, x, m)
+    y = Multivector.from_blade(BladeIndex(2048, 3))
+    with pytest.raises(ValueError, match="not finite"):
+        trace_product(y, y, 1024)
+    with pytest.raises(ValueError, match="not finite"):
+        trace_product(y.scaled(-1.0), y, 1024)
+    # a tiny scalar part stays finite: 1e-300 * 2^1100 is about 1.36e31
+    tiny = Multivector(4, {BladeIndex.scalar(4): 1e-300})
+    one = Multivector.from_blade(BladeIndex.scalar(4))
+    assert trace_product(tiny, one, 1100) == math.ldexp(1e-300, 1100)
+    assert 1.3e31 < trace_product(tiny, one, 1100) < 1.4e31
 
 
 def test_trace_product_matches_matrix_trace():
