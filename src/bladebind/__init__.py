@@ -41,14 +41,13 @@ from .codec import (
     hamming,
     majority_chunk,
 )
-from .multivector import Multivector, similarity, trace_product
+from .multivector import Multivector, min_factor_count, similarity, trace_product
 
 # name -> submodule for the re-exports that need numpy
 _LAZY = {
     "run_bench": "bench",
     "blade_matrix": "cartan",
     "generator_matrix": "cartan",
-    "min_factor_count": "cartan",
     "pauli": "cartan",
     "rep": "cartan",
     "run_verification": "verify",

@@ -62,7 +62,7 @@ class BladeIndex:
 
     __slots__ = ("n", "value", "_below_mask")
 
-    def __init__(self, n: int, value: int = 0):
+    def __init__(self, n: int, value: int):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         if value < 0 or value >> n:
@@ -135,10 +135,6 @@ class BladeIndex:
         """Sorted 1-based positions of the generators present."""
         b = self.bits
         return tuple(i + 1 for i in range(self.n) if b[i] == "1")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.value == 0
 
     # --- algebra ----------------------------------------------------------
 

@@ -18,12 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .blades import BladeIndex
-from .multivector import Multivector
+from .multivector import Multivector, _check_factors
 
 __all__ = [
     "ORDER_CAP",
     "pauli",
-    "min_factor_count",
     "generator_matrix",
     "blade_matrix",
     "rep",
@@ -49,11 +48,6 @@ def pauli(which: int) -> np.ndarray:
     if which not in _SIGMA:
         raise ValueError(f"pauli index must be 1, 2 or 3, got {which}")
     return _SIGMA[which].copy()
-
-
-def min_factor_count(n: int) -> int:
-    """Smallest m able to host n anticommuting generators (n <= 2m)."""
-    return (n + 1) // 2
 
 
 def _check_order(m: int) -> None:
@@ -86,10 +80,7 @@ def generator_matrix(j: int, m: int) -> np.ndarray:
 def blade_matrix(b: BladeIndex, m: int) -> np.ndarray:
     """Matrix of a basis blade: product of its generators in ascending order."""
     _check_order(m)
-    if b.n > 2 * m:
-        raise ValueError(
-            f"blade has {b.n} positions, m={m} hosts at most {2 * m} generators"
-        )
+    _check_factors(b.n, m)
     out = np.eye(1 << m, dtype=complex)
     for j in b.positions():
         out = out @ _generator(j, m)
@@ -99,10 +90,7 @@ def blade_matrix(b: BladeIndex, m: int) -> np.ndarray:
 def rep(x: Multivector, m: int) -> np.ndarray:
     """Linear extension of blade_matrix to a whole multivector."""
     _check_order(m)
-    if x.n > 2 * m:
-        raise ValueError(
-            f"multivector has {x.n} positions, m={m} hosts at most {2 * m} generators"
-        )
+    _check_factors(x.n, m)
     out = np.zeros((1 << m, 1 << m), dtype=complex)
     for idx, coeff in x.items():
         out += coeff * blade_matrix(idx, m)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .blades import (
@@ -66,7 +67,12 @@ CLASSIC = "classic"
 
 
 class _JsonFile:
-    """save/load as indented JSON, built on the subclass's to_json/from_json."""
+    """save/load as indented JSON, built on the subclass's to_json/from_json.
+
+    load rejects a key repeated within one object (a last-one-wins read
+    would decode a symbol the file does not uniquely name) and nesting
+    deeper than the interpreter's recursion limit.
+    """
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -76,7 +82,19 @@ class _JsonFile:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh, object_pairs_hook=_unique_keys))
+            except RecursionError:
+                raise ValueError("JSON nested too deeply") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # --- symbol tables ------------------------------------------------------------
@@ -89,9 +107,11 @@ class SymbolTable(_JsonFile):
     k is the filler support width: every filler is zero beyond position
     k.  Roles use all n positions.  Names are unique across the whole
     table and no two symbols share a bit string.  Treat the mappings as
-    read-only: validation also keeps one value -> name index of every
-    symbol for the GA clean-up, which a later change to `roles` or
-    `fillers` would not update.
+    read-only: they are validated once, here.  Validation also keeps one
+    value -> name index of every symbol for the GA clean-up, and the
+    classic clean-up memory is a live view of `fillers`, so a later
+    change to `roles` or `fillers` would go unchecked and leave the
+    index stale.
     """
 
     n: int
@@ -114,7 +134,7 @@ class SymbolTable(_JsonFile):
                     raise ValueError(
                         f"{kind} {name!r} has dimension {blade.n}, table has {self.n}"
                     )
-                if blade.is_scalar:
+                if not blade.value:
                     raise ValueError(f"{kind} {name!r} is the all-zero string")
                 # bits beyond position k sit below machine bit n - k: the
                 # lowest set bit tells, with no n-bit mask to build
@@ -250,23 +270,21 @@ class EncodedRecord(_JsonFile):
 
 @dataclass(frozen=True)
 class CleanupMemory:
-    """The classic Hamming item memory: named fillers, nearest bit distance wins."""
+    """The classic Hamming item memory: named fillers, nearest bit distance wins.
 
-    entries: tuple
+    entries is a collection of (name, blade) pairs; from_table gives a
+    view of the table's fillers, not a copy.  classic_decode checks each
+    entry's dimension against the record as it measures the distance.
+    """
 
-    def __post_init__(self):
-        if self.entries:
-            n = self.entries[0][1].n
-            for _, blade in self.entries:
-                if blade.n != n:
-                    raise ValueError("clean-up entries span different dimensions")
+    entries: Collection
 
     @classmethod
     def from_table(cls, table: SymbolTable, metric: str) -> "CleanupMemory":
         """The table's fillers as a memory; "hamming" is the only metric."""
         if metric != "hamming":
             raise ValueError(f"unknown clean-up metric {metric!r}")
-        return cls(entries=tuple(table.fillers.items()))
+        return cls(entries=table.fillers.items())
 
 
 # --- GA codec ------------------------------------------------------------------
@@ -305,7 +323,8 @@ class GaDecodeResult:
     @property
     def residual_terms(self) -> int:
         """Terms of the raw unbind besides the winning filler's blade."""
-        return len(self.raw) - (1 if self.raw.coeff(self.blade) != 0.0 else 0)
+        # a scored winner's score is its raw coefficient; the fallback's is 0.0
+        return len(self.raw) - (self.score != 0.0)
 
 
 def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDecodeResult:

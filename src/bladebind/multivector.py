@@ -22,7 +22,7 @@ from .blades import (
     reversion_sign,
 )
 
-__all__ = ["Multivector", "similarity", "trace_product", "DEFAULT_TOLERANCE"]
+__all__ = ["Multivector", "similarity", "trace_product", "min_factor_count", "DEFAULT_TOLERANCE"]
 
 # Absolute tolerance for coefficient comparison; the algebra itself is exact,
 # so this only matters when comparing against the matrix oracle.
@@ -90,10 +90,6 @@ class Multivector:
     def __len__(self) -> int:
         return len(self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # --- linear structure ---------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
@@ -108,9 +104,6 @@ class Multivector:
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
-
-    def scaled(self, factor: float) -> "Multivector":
-        return Multivector(self.n, {idx: factor * c for idx, c in self._terms.items()})
 
     # --- products -----------------------------------------------------------
 
@@ -128,7 +121,7 @@ class Multivector:
         if isinstance(other, Multivector):
             return self.gp(other)
         if isinstance(other, (int, float)):
-            return self.scaled(other)
+            return Multivector(self.n, {idx: other * c for idx, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -206,8 +199,7 @@ def trace_product(x: Multivector, y: Multivector, m: int) -> float:
     generators packed into 2x2 give a top blade proportional to the
     identity), which is why m is part of this function's contract.
     """
-    if x.n > 2 * m:
-        raise ValueError(f"n={x.n} needs at least {(x.n + 1) // 2} Pauli factors, got m={m}")
+    _check_factors(x.n, m)
     s = similarity(x.reverse(), y)
     # ldexp scales by 2^m without forming it (a float 2^m overflows from
     # m = 1024 on), and raises where the scaled value would be +-inf
@@ -215,6 +207,16 @@ def trace_product(x: Multivector, y: Multivector, m: int) -> float:
         return math.ldexp(s, m)
     except OverflowError:
         return _finite(math.copysign(math.inf, s))
+
+
+def min_factor_count(n: int) -> int:
+    """Smallest m able to host n anticommuting generators (n <= 2m)."""
+    return (n + 1) // 2
+
+
+def _check_factors(n: int, m: int) -> None:
+    if m < min_factor_count(n):
+        raise ValueError(f"n={n} needs at least {min_factor_count(n)} Pauli factors, got m={m}")
 
 
 def _finite(value: float) -> float:

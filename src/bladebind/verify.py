@@ -71,9 +71,8 @@ class CheckResult:
 class VerificationReport:
     checks: list = field(default_factory=list)
 
-    def record(self, name: str, passed: bool, expected, actual) -> bool:
+    def record(self, name: str, passed: bool, expected, actual) -> None:
         self.checks.append(CheckResult(name, bool(passed), str(expected), str(actual)))
-        return bool(passed)
 
     @property
     def passed(self) -> bool:

@@ -8,11 +8,10 @@ from bladebind.cartan import (
     ORDER_CAP,
     blade_matrix,
     generator_matrix,
-    min_factor_count,
     pauli,
     rep,
 )
-from bladebind.multivector import Multivector
+from bladebind.multivector import Multivector, min_factor_count
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -282,6 +282,45 @@ def test_decode_rejects_a_non_finite_threshold(capsys, tmp_path, threshold, code
     assert err.startswith("error:") and "--threshold" in err
 
 
+@pytest.mark.parametrize("which", ["record", "table"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, which):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                   "--out", str(record))
+    assert rc == 0
+    (record if which == "record" else table).write_text("[" * 100_000)
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "where, inside, key",
+    [
+        ("table", "fillers", "male"),
+        ("table", "roles", "sex"),
+        ("table", None, "k"),
+        ("record", None, "codec"),
+    ],
+)
+def test_repeated_json_keys_exit_2(capsys, tmp_path, where, inside, key):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,sex=male",
+                   "--out", str(record))
+    assert rc == 0
+    path = table if where == "table" else record
+    obj = json.loads(path.read_text())
+    # an earlier copy of the key, which a last-one-wins reader would drop
+    value = (obj[inside] if inside else obj)[key]
+    opening = f'"{inside}": {{' if inside else "{"
+    _replace_once(path, opening, f"{opening}{json.dumps(key)}: {json.dumps(value)}, ")
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert f"repeated JSON key {key!r}" in err
+
+
 def test_missing_and_malformed_files(capsys, tmp_path):
     rc, _, err = run(capsys, "encode", "--in", str(tmp_path / "absent.json"),
                      "--pairs", "a=b", "--out", str(tmp_path / "r.json"))

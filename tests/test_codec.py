@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from bladebind.blades import BladeIndex, product_sign
+from bladebind.blades import BladeIndex, DimensionMismatch, product_sign
 from bladebind.codec import (
     CleanupMemory,
     EncodedRecord,
@@ -183,8 +183,9 @@ def test_record_malformed_json():
 def test_cleanup_memory_validation():
     with pytest.raises(ValueError, match="unknown clean-up metric"):
         CleanupMemory.from_table(small_table(), "similarity")
-    with pytest.raises(ValueError):  # mixed dimensions
-        CleanupMemory(entries=(("f", b("1100")), ("g", b("110"))))
+    with pytest.raises(ValueError):  # mixed dimensions, found by the decode
+        mixed = CleanupMemory(entries=(("f", b("1100")), ("g", b("110"))))
+        classic_decode(b("1000"), BladeIndex.scalar(4), mixed)
     mem = CleanupMemory.from_table(small_table(), "hamming")
     assert len(mem.entries) == 3
 
@@ -269,6 +270,19 @@ def test_classic_decode_tie_is_flagged_lexicographic():
     assert res.filler == "lo"  # 1010 precedes 1100
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (("g", b("110")), ("f", b("1100")), ("h", b("0011"))),
+        (("f", b("1100")), ("h", b("0011")), ("g", b("110"))),
+    ],
+    ids=["mismatch-first", "mismatch-last"],
+)
+def test_mixed_dimension_memory_fails_at_decode(entries):
+    with pytest.raises(DimensionMismatch):
+        classic_decode(b("1000"), BladeIndex.scalar(4), CleanupMemory(entries))
+
+
 def test_classic_decode_needs_hamming_memory():
     with pytest.raises(ValueError, match="empty"):
         classic_decode(b("1000"), b("0001"), CleanupMemory(()))
@@ -291,7 +305,7 @@ def test_classic_three_pair_retrieval_smoke():
 
 def test_ga_encode_empty_and_single():
     t = small_table()
-    assert ga_encode(t, []).payload.is_zero
+    assert len(ga_encode(t, []).payload) == 0
     rec = ga_encode(t, [("name", "Pat")])
     r, f = t.roles["name"], t.fillers["Pat"]
     expected = Multivector.from_pairs(

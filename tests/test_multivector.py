@@ -16,9 +16,9 @@ def mv(pairs, n=4):
 
 def test_exact_zeros_are_dropped():
     x = Multivector(4, {BladeIndex.from_bits("1010"): 0.0})
-    assert len(x) == 0 and x.is_zero
+    assert len(x) == 0
     y = mv([(2.0, "1010"), (-2.0, "1010")])
-    assert y.is_zero
+    assert len(y) == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -140,7 +140,7 @@ def test_trace_product_beyond_a_float_power_of_two():
     with pytest.raises(ValueError, match="not finite"):
         trace_product(y, y, 1024)
     with pytest.raises(ValueError, match="not finite"):
-        trace_product(y.scaled(-1.0), y, 1024)
+        trace_product(y * -1.0, y, 1024)
     # a tiny scalar part stays finite: 1e-300 * 2^1100 is about 1.36e31
     tiny = Multivector(4, {BladeIndex.scalar(4): 1e-300})
     one = Multivector.from_blade(BladeIndex.scalar(4))

@@ -15,7 +15,10 @@ from bladebind.blades import (
     product_sign,
 )
 from bladebind.codec import (
+    CleanupMemory,
     SymbolTable,
+    classic_decode,
+    classic_encode,
     ga_decode,
     ga_encode,
     gen_symbols,
@@ -196,12 +199,14 @@ def assert_decodes_like_the_scan(record, table):
 
 
 @st.composite
-def crowded_tables(draw):
-    """n <= 8 tables with one to six fillers, so symbols and products collide."""
-    n = draw(st.integers(2, 8))
+def crowded_tables(draw, min_n=2, max_n=8, max_fillers=6):
+    """Small tables with few fillers each, so symbols and products collide."""
+    n = draw(st.integers(min_n, max_n))
     k = draw(st.integers(1, n))
     filler_values = draw(
-        st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=6, unique=True)
+        st.lists(
+            st.integers(1, (1 << k) - 1), min_size=1, max_size=max_fillers, unique=True
+        )
     )
     fillers = {f"f{i}": BladeIndex(n, v << (n - k)) for i, v in enumerate(filler_values)}
     taken = {b.value for b in fillers.values()}
@@ -217,9 +222,13 @@ def crowded_tables(draw):
     return SymbolTable(n=n, k=k, roles=roles, fillers=fillers)
 
 
-def encode_drawn_pairs(data, table, max_pairs, weight):
+def draw_pairs(data, table, max_pairs, min_pairs=0):
     pair = st.tuples(st.sampled_from(sorted(table.roles)), st.sampled_from(sorted(table.fillers)))
-    pairs = data.draw(st.lists(pair, max_size=max_pairs))
+    return data.draw(st.lists(pair, min_size=min_pairs, max_size=max_pairs))
+
+
+def encode_drawn_pairs(data, table, max_pairs, weight):
+    pairs = draw_pairs(data, table, max_pairs)
     weights = data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
     return ga_encode(table, pairs, weights)
 
@@ -249,6 +258,37 @@ def test_ga_decode_matches_the_filler_scan_at_width(seed, n, filler_count, data)
         data, table, 12, st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
     )
     assert_decodes_like_the_scan(record, table)
+
+
+# --- classic clean-up against an independent distance scan -------------------------
+
+
+def nearest_by_scan(unbound, table):
+    """Reference classic clean-up: the popcount distance of every filler.
+
+    The smallest distance wins, ties go to the smallest blade, and the
+    result is ambiguous when two or more fillers share that distance.
+    """
+    ranked = sorted(
+        ((unbound ^ blade.value).bit_count(), blade.value, name)
+        for name, blade in table.fillers.items()
+    )
+    distance, value, name = ranked[0]
+    tied = len(ranked) > 1 and ranked[1][0] == distance
+    return name, BladeIndex(table.n, value), distance, tied
+
+
+@given(crowded_tables(min_n=4, max_n=12, max_fillers=12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_classic_decode_matches_the_distance_scan_on_crowded_tables(table, data):
+    pairs = draw_pairs(data, table, 6, min_pairs=1)
+    record = classic_encode(table, pairs, data.draw(st.integers(0, 2**32 - 1)))
+    memory = CleanupMemory.from_table(table, "hamming")
+    for role_name, role in table.roles.items():
+        res = classic_decode(record.bits, role, memory)
+        assert (res.filler, res.blade, res.distance, res.ambiguous) == nearest_by_scan(
+            record.bits.value ^ role.value, table
+        )
 
 
 # --- classic majority vote against two independent votes ---------------------------
