@@ -32,7 +32,6 @@ from .codec import (
     EncodedRecord,
     GaDecodeResult,
     SymbolTable,
-    classic_bind,
     classic_decode,
     classic_encode,
     ga_decode,
@@ -76,7 +75,6 @@ __all__ = [
     "ClassicDecodeResult",
     "blade_inverse",
     "blade_matrix",
-    "classic_bind",
     "classic_decode",
     "classic_encode",
     "format_blade",

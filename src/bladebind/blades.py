@@ -39,6 +39,17 @@ __all__ = [
 # Literals longer than this are written in hex by default.
 BINARY_LITERAL_MAX = 64
 
+# Input text longer than this is cut in the middle when an error message echoes it.
+_ECHO_MAX = 80
+
+
+def _shorten(text: str) -> str:
+    """text as an error message echoes it: at most _ECHO_MAX characters."""
+    if len(text) <= _ECHO_MAX:
+        return text
+    half = (_ECHO_MAX - 3) // 2
+    return f"{text[:half]}...{text[-half:]}"
+
 
 class DimensionMismatch(ValueError):
     """Raised when blades from algebras of different dimension are combined."""
@@ -66,7 +77,7 @@ class BladeIndex:
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         if value < 0 or value >> n:
-            raise ValueError(f"value {value:#x} does not fit in {n} bits")
+            raise ValueError(f"value {_shorten(f'{value:#x}')} does not fit in {n} bits")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_below_mask", None)
@@ -80,7 +91,7 @@ class BladeIndex:
     def from_bits(cls, text: str) -> "BladeIndex":
         """Build from a '0'/'1' literal, position 1 first (e.g. "1100")."""
         if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a binary blade literal: {text!r}")
+            raise ValueError(f"not a binary blade literal: {_shorten(repr(text))}")
         return cls(len(text), int(text, 2))
 
     @classmethod
@@ -88,7 +99,8 @@ class BladeIndex:
         """Build from big-endian hex nibbles, left-padded to ceil(n/4) digits."""
         if len(text) != (n + 3) // 4:
             raise ValueError(
-                f"hex literal {text!r} has {len(text)} nibbles, expected {(n + 3) // 4}"
+                f"hex literal {_shorten(repr(text))} has {len(text)} nibbles, "
+                f"expected {(n + 3) // 4}"
             )
         # unhexlify takes hex digits only, where int(text, 16) would also
         # take signs, spaces, underscores and a 0x prefix.
@@ -96,7 +108,7 @@ class BladeIndex:
             raw = binascii.unhexlify("0" * (len(text) % 2) + text)
         except ValueError:
             raise ValueError(
-                f"hex literal {text!r} has characters outside 0-9a-fA-F"
+                f"hex literal {_shorten(repr(text))} has characters outside 0-9a-fA-F"
             ) from None
         return cls(n, int.from_bytes(raw, "big"))
 
@@ -187,15 +199,15 @@ class BladeIndex:
 class SignedBlade:
     """A blade with an explicit sign in {+1, -1}.
 
-    Signs are kept as ints, never booleans, so composition stays literal
-    multiplication.
+    Signs are kept as ints, never booleans or floats, so composition
+    stays literal multiplication.
     """
 
     sign: int
     index: BladeIndex
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
     def __mul__(self, other: "SignedBlade") -> "SignedBlade":
@@ -258,7 +270,9 @@ def parse_blade(text: str, n: int) -> BladeIndex:
         return BladeIndex.from_bits(text)
     if len(text) == (n + 3) // 4:
         return BladeIndex.from_hex(text, n)
-    raise ValueError(f"blade literal {text!r} matches neither binary nor hex for n={n}")
+    raise ValueError(
+        f"blade literal {_shorten(repr(text))} matches neither binary nor hex for n={n}"
+    )
 
 
 def format_blade(b: BladeIndex) -> str:

@@ -28,13 +28,6 @@ from .codec import (
 DEFAULT_GA_THRESHOLD = 0.5
 
 
-def _split_names(text: str, flag: str) -> list:
-    names = [part.strip() for part in text.split(",")]
-    if not all(names):
-        raise ValueError(f"{flag} needs a comma-separated list of names")
-    return names
-
-
 def _parse_pairs(text: str) -> list:
     pairs = []
     for chunk in text.split(","):
@@ -57,8 +50,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    roles = _split_names(args.roles, "--roles")
-    fillers = _split_names(args.fillers, "--fillers")
+    roles = [part.strip() for part in args.roles.split(",")]
+    fillers = [part.strip() for part in args.fillers.split(",")]
     table = gen_symbols(args.seed, args.n, args.k, roles, fillers)
     table.save(args.out)
     _emit(

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .blades import (
     BladeIndex,
     _check_dims,
+    _shorten,
     blade_inverse,
     format_blade,
     parse_blade,
@@ -51,7 +52,6 @@ __all__ = [
     "gen_symbols",
     "ga_encode",
     "ga_decode",
-    "classic_bind",
     "majority_chunk",
     "classic_encode",
     "classic_decode",
@@ -92,7 +92,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"repeated JSON key {key!r}")
+            raise ValueError(f"repeated JSON key {_shorten(repr(key))}")
         obj[key] = value
     return obj
 
@@ -124,29 +124,35 @@ class SymbolTable(_JsonFile):
             raise ValueError(f"filler bits k={self.k} outside 1..{self.n}")
         overlap = self.roles.keys() & self.fillers.keys()
         if overlap:
-            raise ValueError(f"names used as both role and filler: {sorted(overlap)}")
+            raise ValueError(
+                f"names used as both role and filler: {_shorten(repr(sorted(overlap)))}"
+            )
         names: dict[int, str] = {}
         for kind, mapping in (("role", self.roles), ("filler", self.fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
-                    raise ValueError(f"{kind} name must be a nonempty string: {name!r}")
+                    raise ValueError(
+                        f"{kind} name must be a nonempty string: {_shorten(repr(name))}"
+                    )
                 if blade.n != self.n:
                     raise ValueError(
-                        f"{kind} {name!r} has dimension {blade.n}, table has {self.n}"
+                        f"{kind} {_shorten(repr(name))} has dimension {blade.n}, "
+                        f"table has {self.n}"
                     )
                 if not blade.value:
-                    raise ValueError(f"{kind} {name!r} is the all-zero string")
+                    raise ValueError(f"{kind} {_shorten(repr(name))} is the all-zero string")
                 # bits beyond position k sit below machine bit n - k: the
                 # lowest set bit tells, with no n-bit mask to build
                 if kind == "filler" and (
                     (blade.value & -blade.value).bit_length() <= self.n - self.k
                 ):
                     raise ValueError(
-                        f"filler {name!r} has bits beyond position {self.k}"
+                        f"filler {_shorten(repr(name))} has bits beyond position {self.k}"
                     )
                 if blade.value in names:
                     raise ValueError(
-                        f"{kind} {name!r} collides with {names[blade.value]!r}"
+                        f"{kind} {_shorten(repr(name))} collides with "
+                        f"{_shorten(repr(names[blade.value]))}"
                     )
                 names[blade.value] = name
         object.__setattr__(self, "_names", names)
@@ -179,7 +185,7 @@ def _json_value(value, types: tuple, what: str):
     """value, if its exact type is one of types (so true is not an int)."""
     if type(value) not in types:
         names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"{what} must be a JSON {names}, got {value!r}")
+        raise TypeError(f"{what} must be a JSON {names}, got {_shorten(repr(value))}")
     return value
 
 
@@ -239,7 +245,7 @@ class EncodedRecord(_JsonFile):
             if not isinstance(self.bits, BladeIndex) or self.payload is not None:
                 raise ValueError("classic record needs bits and no payload")
         else:
-            raise ValueError(f"unknown codec {self.codec!r}")
+            raise ValueError(f"unknown codec {_shorten(repr(self.codec))}")
 
     @property
     def n(self) -> int:
@@ -260,12 +266,22 @@ class EncodedRecord(_JsonFile):
                     (_json_value(c, (int, float), "coefficient"), lit)
                     for c, lit in obj["terms"]
                 ]
-                return cls(GA, payload=Multivector.from_pairs(terms, n))
+                # to_pairs writes each blade once; a repeat would add to or
+                # cancel a term, whichever spelling (binary or hex) it uses
+                acc: dict[BladeIndex, float] = {}
+                for c, lit in terms:
+                    idx = parse_blade(lit, n)
+                    if idx in acc:
+                        raise ValueError(
+                            f"record names blade {_shorten(format_blade(idx))} twice"
+                        )
+                    acc[idx] = float(c)
+                return cls(GA, payload=Multivector(n, acc))
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ValueError(f"malformed record: {exc}") from exc
-        raise ValueError(f"unknown codec {codec!r}")
+        return cls(codec)
 
 
 @dataclass(frozen=True)
@@ -345,8 +361,6 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     """
     if record.codec != GA:
         raise ValueError(f"ga_decode on a {record.codec!r} record")
-    if record.n != table.n:
-        raise ValueError(f"record dimension {record.n} != table dimension {table.n}")
     role = _resolve(table.roles, role_name, "role")
     if not table.fillers:
         raise ValueError("clean-up memory is empty")
@@ -389,11 +403,6 @@ def _resolve(mapping: dict, name: str, kind: str) -> BladeIndex:
 
 
 # --- classic codec ---------------------------------------------------------------
-
-
-def classic_bind(x: BladeIndex, y: BladeIndex) -> BladeIndex:
-    """XOR binding; its own inverse, so binding twice with x recovers y."""
-    return x ^ y
 
 
 def majority_chunk(items, seed: int) -> BladeIndex:
@@ -456,7 +465,7 @@ def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
     for role_name, filler_name in pairs:
         role = _resolve(table.roles, role_name, "role")
         filler = _resolve(table.fillers, filler_name, "filler")
-        bound.append(classic_bind(role, filler))
+        bound.append(role ^ filler)
     return EncodedRecord(CLASSIC, bits=majority_chunk(bound, seed))
 
 

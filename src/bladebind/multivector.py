@@ -16,6 +16,7 @@ from .blades import (
     BladeIndex,
     SignedBlade,
     _check_dims,
+    _shorten,
     format_blade,
     parse_blade,
     product_sign,
@@ -46,7 +47,7 @@ class Multivector:
             c = float(coeff)
             if not math.isfinite(c):
                 raise ValueError(
-                    f"coefficient {c!r} of blade {format_blade(idx)} is not finite"
+                    f"coefficient {c!r} of blade {_shorten(format_blade(idx))} is not finite"
                 )
             if c != 0.0:
                 clean[idx] = c

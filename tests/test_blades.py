@@ -186,10 +186,9 @@ def test_blade_index_is_immutable():
 
 
 def test_signed_blade_sign_domain():
-    with pytest.raises(ValueError):
-        SignedBlade(0, b("10"))
-    with pytest.raises(ValueError):
-        SignedBlade(2, b("10"))
+    for sign in (0, 2, True, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            SignedBlade(sign, b("10"))
     assert (-sb(1, "10")).sign == -1
 
 

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 from bladebind import bench
+from bladebind.blades import DimensionMismatch
 from bladebind.cli import main
+from bladebind.codec import (
+    CleanupMemory,
+    EncodedRecord,
+    SymbolTable,
+    classic_decode,
+    ga_decode,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,6 +62,15 @@ def test_gen_rejects_bad_k(capsys, tmp_path):
                      "--out", str(tmp_path / "t.json"))
     assert rc == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("roles", ["a,,b", "", "a, ,b", ",a"])
+def test_gen_rejects_an_empty_name_and_writes_nothing(capsys, tmp_path, roles):
+    out = tmp_path / "t.json"
+    err = assert_usage_error(capsys, "gen", "--n", "16", "--k", "4", "--roles", roles,
+                             "--out", str(out))
+    assert "role name must be a nonempty string: ''" in err
+    assert not out.exists()
 
 
 def test_gen_at_ten_thousand_bits(capsys, tmp_path):
@@ -199,8 +216,28 @@ def test_number_overflow_in_input_files_exits_2(capsys, tmp_path, case):
 def assert_usage_error(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     return err
+
+
+@pytest.mark.parametrize("codec", ["ga", "classic"])
+def test_record_and_table_dimensions_must_agree(capsys, tmp_path, codec):
+    (tmp_path / "wide").mkdir()
+    wide = gen_table(capsys, tmp_path / "wide", n=80, k=20)
+    narrow = gen_table(capsys, tmp_path, n=16, k=4)
+    path = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(wide), "--codec", codec,
+                   "--pairs", "name=Pat", "--out", str(path))
+    assert rc == 0
+    record, table = EncodedRecord.load(path), SymbolTable.load(narrow)
+    with pytest.raises(DimensionMismatch):
+        if codec == "ga":
+            ga_decode(record, table, "name")
+        else:
+            classic_decode(record.bits, table.roles["name"],
+                           CleanupMemory.from_table(table, "hamming"))
+    assert_usage_error(capsys, "decode", "--in", str(path), "--memory", str(narrow),
+                       "--role", "name")
 
 
 @pytest.mark.parametrize(
@@ -319,6 +356,51 @@ def test_repeated_json_keys_exit_2(capsys, tmp_path, where, inside, key):
     err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
                              "--role", "name")
     assert f"repeated JSON key {key!r}" in err
+
+
+@pytest.mark.parametrize("spelling", ["same-literal", "binary-and-hex"])
+def test_record_naming_a_blade_twice_exits_2(capsys, tmp_path, spelling):
+    table = gen_table(capsys, tmp_path, n=16, k=4)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,sex=male",
+                   "--out", str(record))
+    assert rc == 0
+    obj = json.loads(record.read_text())
+    coeff, literal = obj["terms"][0]
+    if spelling == "same-literal":  # would double the term's score
+        obj["terms"].append([coeff, literal])
+    else:  # would cancel the term
+        obj["terms"].append([-coeff, f"{int(literal, 2):04x}"])
+    record.write_text(json.dumps(obj))
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert "twice" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["table-n-list", "filler-literal", "record-codec", "repeated-key"]
+)
+def test_long_file_values_are_cut_in_error_text(capsys, tmp_path, case):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                   "--out", str(record))
+    assert rc == 0
+    path = record if case == "record-codec" else table
+    obj = json.loads(path.read_text())
+    if case == "table-n-list":
+        obj["n"] = [0] * 200_000
+    elif case == "filler-literal":
+        obj["fillers"]["male"] = "0" * 1_000_000
+    elif case == "record-codec":
+        obj["codec"] = "x" * 1_000_000
+    path.write_text(json.dumps(obj))
+    if case == "repeated-key":
+        entry = f'"{"k" * 1_000_000}": "{obj["fillers"]["male"]}", '
+        _replace_once(path, '"fillers": {', '"fillers": {' + 2 * entry)
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert len(err.encode()) < 300
 
 
 def test_missing_and_malformed_files(capsys, tmp_path):

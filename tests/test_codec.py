@@ -11,7 +11,6 @@ from bladebind.codec import (
     CleanupMemory,
     EncodedRecord,
     SymbolTable,
-    classic_bind,
     classic_decode,
     classic_encode,
     ga_decode,
@@ -151,6 +150,8 @@ def test_record_type_discipline():
         EncodedRecord("classic", payload=mv)
     with pytest.raises(ValueError):
         EncodedRecord("nope", payload=mv)
+    with pytest.raises(ValueError, match="unknown codec 'wat'"):
+        EncodedRecord("wat")
     with pytest.raises(ValueError):
         EncodedRecord("ga", payload=mv, bits=b("0110"))
 
@@ -171,7 +172,7 @@ def test_record_json_round_trips(tmp_path):
 def test_record_malformed_json():
     with pytest.raises(ValueError):
         EncodedRecord.from_json({"codec": "ga", "n": 4})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown codec 'wat'"):
         EncodedRecord.from_json({"codec": "wat", "n": 4, "terms": []})
     with pytest.raises(ValueError):
         EncodedRecord.from_json({"n": 4, "terms": []})
@@ -195,9 +196,9 @@ def test_cleanup_memory_validation():
 
 def test_classic_bind_is_involutive():
     x, y = b("1100"), b("1010")
-    assert classic_bind(x, y) == b("0110")
-    assert classic_bind(x, classic_bind(x, y)) == y
-    assert classic_bind(x, BladeIndex.scalar(4)) == x
+    assert x ^ y == b("0110")
+    assert x ^ (x ^ y) == y
+    assert x ^ BladeIndex.scalar(4) == x
 
 
 def test_majority_chunk_worked_example():
@@ -255,7 +256,7 @@ def test_classic_decode_without_true_filler():
     # nearest wrong entry comes back, with its distance
     t = small_table()
     record = classic_encode(t, [("name", "Pat")])
-    unbound = classic_bind(record.bits, t.roles["name"])  # equals Pat's bits
+    unbound = record.bits ^ t.roles["name"]  # equals Pat's bits
     mem = CleanupMemory(entries=(("near", b("1000")), ("far", b("0010"))))
     res = classic_decode(record.bits, t.roles["name"], mem)
     assert res.filler == "near" and not res.ambiguous
