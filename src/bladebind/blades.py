@@ -14,9 +14,13 @@ is authoritative, the word layout is an implementation detail.
 Products of blades are again blades up to sign: the index of the product
 is the XOR of the factor indexes and the sign is (-1)^D, where D counts
 how many generator transpositions are needed to merge the two factors
-into sorted order.  `product_sign` computes the parity of D in a handful
-of word-parallel big-int operations; `bladebind.reference` keeps slow
-independent implementations for differential testing.
+into sorted order.  The parity of D takes a handful of word-parallel
+big-int operations on the raw ints: a prefix-parity scan of the left
+factor (`_prefix_parity`), then one AND and one popcount against the
+right factor (`_masked_sign`).  `product_sign` applies that rule to two
+`BladeIndex` objects, and `Multivector.gp` to raw int keys;
+`bladebind.reference` keeps slow independent implementations for
+differential testing.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ def _check_dims(a, b) -> None:
     """Blades or multivectors: both operands must share the dimension n."""
     if a.n != b.n:
         raise DimensionMismatch(
-            f"operands live in different algebras (n={a.n} vs n={b.n})"
+            f"operands live in different algebras "
+            f"(n={_shorten(str(a.n))} vs n={_shorten(str(b.n))})"
         )
 
 
@@ -75,9 +80,11 @@ class BladeIndex:
 
     def __init__(self, n: int, value: int):
         if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
+            raise ValueError(f"dimension must be >= 1, got {_shorten(str(n))}")
         if value < 0 or value >> n:
-            raise ValueError(f"value {_shorten(f'{value:#x}')} does not fit in {n} bits")
+            raise ValueError(
+                f"value {_shorten(f'{value:#x}')} does not fit in {_shorten(str(n))} bits"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_below_mask", None)
@@ -157,18 +164,12 @@ class BladeIndex:
     def below_parity_mask(self) -> int:
         """Int whose machine bit j holds the parity of this blade's bits below j.
 
-        Computed once per blade by a shift-XOR prefix scan (log n big-int
-        ops, each O(n/w) machine words) and cached; `product_sign` then
-        needs one AND and one popcount per product.
+        Computed once per blade by `_prefix_parity` and cached;
+        `product_sign` then needs one AND and one popcount per product.
         """
         mask = self._below_mask
         if mask is None:
-            p = self.value
-            shift = 1
-            while shift < self.n:
-                p ^= p << shift
-                shift <<= 1
-            mask = p << 1
+            mask = _prefix_parity(self.value, self.n)
             object.__setattr__(self, "_below_mask", mask)
         return mask
 
@@ -233,7 +234,25 @@ def product_sign(a: BladeIndex, b: BladeIndex) -> int:
     two sorted generator lists.
     """
     _check_dims(a, b)
-    return -1 if (b.value & a.below_parity_mask()).bit_count() & 1 else 1
+    return _masked_sign(b.value, a.below_parity_mask())
+
+
+def _prefix_parity(value: int, n: int) -> int:
+    """Int whose machine bit j holds the parity of value's bits below j.
+
+    A shift-XOR prefix scan: log n big-int ops, each O(n/w) machine
+    words.  Bits above n may be set; the AND in `_masked_sign` drops them.
+    """
+    shift = 1
+    while shift < n:
+        value ^= value << shift
+        shift <<= 1
+    return value << 1
+
+
+def _masked_sign(b: int, mask: int) -> int:
+    """Sign of left * right, given the right factor b and the left's `_prefix_parity`."""
+    return -1 if (b & mask).bit_count() & 1 else 1
 
 
 def geometric_product(a: SignedBlade, b: SignedBlade) -> SignedBlade:
@@ -271,7 +290,8 @@ def parse_blade(text: str, n: int) -> BladeIndex:
     if len(text) == (n + 3) // 4:
         return BladeIndex.from_hex(text, n)
     raise ValueError(
-        f"blade literal {_shorten(repr(text))} matches neither binary nor hex for n={n}"
+        f"blade literal {_shorten(repr(text))} matches neither binary nor hex "
+        f"for n={_shorten(str(n))}"
     )
 
 

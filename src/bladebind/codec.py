@@ -3,12 +3,14 @@
 Two interchangeable codings of the same record abstraction:
 
 * GA codec: binding is the signed blade product, chunking is sparse
-  coefficient addition.  Clean-up ranks the fillers by the reversion
-  similarity, the scalar part of reverse(x) * y, which is the sum of
-  x_b * y_b over shared blades b; for a unit filler blade that is
-  exactly its coefficient in the unbound result.  So it reads the
-  filler blades present among the unbound terms, O(P) per decode for a
-  P-pair record and independent of the filler count.
+  coefficient addition, both on raw blade ints (a pair lands on
+  role.value ^ filler.value).  Clean-up ranks the fillers by the
+  reversion similarity, the scalar part of reverse(x) * y, which is the
+  sum of x_b * y_b over shared blades b; for a unit filler blade that
+  is exactly its coefficient in the unbound result.  So it walks the
+  unbound int keys, looks each up in the table's value -> name index
+  and scores only the filler hits: O(P) per decode for a P-pair record,
+  independent of the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
   The vote is bit-sliced over the int bit strings: per-position counts
@@ -121,7 +123,9 @@ class SymbolTable(_JsonFile):
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
-            raise ValueError(f"filler bits k={self.k} outside 1..{self.n}")
+            raise ValueError(
+                f"filler bits k={_shorten(str(self.k))} outside 1..{_shorten(str(self.n))}"
+            )
         overlap = self.roles.keys() & self.fillers.keys()
         if overlap:
             raise ValueError(
@@ -268,15 +272,18 @@ class EncodedRecord(_JsonFile):
                 ]
                 # to_pairs writes each blade once; a repeat would add to or
                 # cancel a term, whichever spelling (binary or hex) it uses
-                acc: dict[BladeIndex, float] = {}
+                acc: dict[int, float] = {}
                 for c, lit in terms:
                     idx = parse_blade(lit, n)
-                    if idx in acc:
+                    if idx.value in acc:
                         raise ValueError(
                             f"record names blade {_shorten(format_blade(idx))} twice"
                         )
-                    acc[idx] = float(c)
-                return cls(GA, payload=Multivector(n, acc))
+                    acc[idx.value] = float(c)
+                # parse_blade has checked n and every key; with no terms,
+                # Multivector(n) still rejects an n below 1
+                payload = Multivector._trusted(n, acc) if acc else Multivector(n)
+                return cls(GA, payload=payload)
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
@@ -319,13 +326,13 @@ def ga_encode(table: SymbolTable, pairs, weights=None) -> EncodedRecord:
     weights = [float(w) for w in weights]
     if len(weights) != len(pairs):
         raise ValueError(f"{len(pairs)} pairs but {len(weights)} weights")
-    acc: dict[BladeIndex, float] = {}
+    acc: dict[int, float] = {}
     for (role_name, filler_name), w in zip(pairs, weights):
         role = _resolve(table.roles, role_name, "role")
         filler = _resolve(table.fillers, filler_name, "filler")
-        idx = role ^ filler
-        acc[idx] = acc.get(idx, 0.0) + w * product_sign(role, filler)
-    return EncodedRecord(GA, payload=Multivector(table.n, acc))
+        v = role.value ^ filler.value
+        acc[v] = acc.get(v, 0.0) + w * product_sign(role, filler)
+    return EncodedRecord(GA, payload=Multivector._trusted(table.n, acc))
 
 
 @dataclass(frozen=True)
@@ -369,10 +376,11 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     best_abs = 0.0
     winner = None
     ambiguous = False
-    # items() ascends by blade, so a later exact tie never displaces the winner.
-    for idx, _ in raw.items():
-        name = table._names.get(idx.value)
-        if name not in table.fillers:
+    # ascending blade order, so a later exact tie never displaces the winner
+    for v in sorted(raw._terms):
+        name = table._names.get(v)
+        idx = table.fillers.get(name)
+        if idx is None:
             continue
         s = similarity(Multivector.from_blade(idx), raw)
         if abs(s) > best_abs:

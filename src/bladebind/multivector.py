@@ -2,10 +2,15 @@
 
 A multivector is a finite sum of signed blades with real weights; records
 built by the codec and the noisy results of unbinding both live here.
-Coefficients that cancel to exactly zero are dropped, so the term table
-only ever holds genuine support; NaN and infinite coefficients are
-rejected.  Values are immutable and every operation returns a fresh
-instance.
+The terms are kept as a dict from raw blade ints (the `BladeIndex.value`
+bit layout) to coefficients, with the dimension n held once, so products
+and sums run on plain ints: the product of two blades lands on the XOR
+of their ints, with the sign from `blades._masked_sign`.  `BladeIndex`
+appears only at the API boundary: the constructor, `from_blade`,
+`from_pairs`, `items`, `coeff` and `to_pairs`.  Coefficients that cancel
+to exactly zero are dropped, so the term table only ever holds genuine
+support; NaN and infinite coefficients are rejected.  Values are
+immutable and every operation returns a fresh instance.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from .blades import (
     BladeIndex,
     SignedBlade,
     _check_dims,
+    _masked_sign,
+    _prefix_parity,
     _shorten,
     format_blade,
     parse_blade,
-    product_sign,
+    product_sign,  # unused here; perfbench/spans.py counts calls through this name
     reversion_sign,
 )
 
@@ -31,28 +38,36 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 class Multivector:
-    """Sparse mapping from blade indexes to nonzero real coefficients."""
+    """Sparse mapping from raw blade ints to nonzero real coefficients, in n dimensions."""
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=None):
+        """terms maps BladeIndex to coefficient; every blade must have dimension n."""
         if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        clean: dict[BladeIndex, float] = {}
+            raise ValueError(f"dimension must be >= 1, got {_shorten(str(n))}")
+        values: dict[int, float] = {}
         for idx, coeff in (terms or {}).items():
             if idx.n != n:
                 raise ValueError(
-                    f"term {idx!r} has dimension {idx.n}, multivector has {n}"
+                    f"term {idx!r} has dimension {idx.n}, multivector has {_shorten(str(n))}"
                 )
-            c = float(coeff)
-            if not math.isfinite(c):
-                raise ValueError(
-                    f"coefficient {c!r} of blade {_shorten(format_blade(idx))} is not finite"
-                )
-            if c != 0.0:
-                clean[idx] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+            values[idx.value] = float(coeff)
+        _fill(self, n, values)
+
+    @classmethod
+    def _trusted(cls, n: int, values: dict) -> "Multivector":
+        """Internal constructor over raw int keys that the caller keeps in range.
+
+        values becomes the new instance's term table, so the caller hands
+        over a dict of its own.  No dimension or range check: an XOR of
+        in-range values stays in range.  Exact zeros are still dropped and
+        non-finite coefficients still raise, since sums and products of
+        finite floats can overflow.
+        """
+        self = object.__new__(cls)
+        _fill(self, n, values)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("Multivector is immutable")
@@ -63,8 +78,8 @@ class Multivector:
     def from_blade(cls, b) -> "Multivector":
         """Single-term multivector; a bare BladeIndex counts as +1 signed."""
         if isinstance(b, SignedBlade):
-            return cls(b.index.n, {b.index: b.sign})
-        return cls(b.n, {b: 1.0})
+            return cls._trusted(b.index.n, {b.index.value: float(b.sign)})
+        return cls._trusted(b.n, {b.value: 1.0})
 
     @classmethod
     def from_pairs(cls, pairs, n: int) -> "Multivector":
@@ -79,10 +94,12 @@ class Multivector:
 
     def items(self):
         """Terms as (BladeIndex, coefficient), ordered by blade literal."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].value)
+        n = self.n
+        return [(BladeIndex(n, v), c) for v, c in sorted(self._terms.items())]
 
     def coeff(self, idx: BladeIndex) -> float:
-        return self._terms.get(idx, 0.0)
+        """Coefficient of blade idx; 0.0 if absent or of another dimension."""
+        return self._terms.get(idx.value, 0.0) if idx.n == self.n else 0.0
 
     def to_pairs(self) -> list:
         """Serializable [(coefficient, literal), ...] in deterministic order."""
@@ -96,12 +113,12 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         _check_dims(self, other)
         acc = dict(self._terms)
-        for idx, c in other._terms.items():
-            acc[idx] = acc.get(idx, 0.0) + c
-        return Multivector(self.n, acc)
+        for v, c in other._terms.items():
+            acc[v] = acc.get(v, 0.0) + c
+        return Multivector._trusted(self.n, acc)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.n, {idx: -c for idx, c in self._terms.items()})
+        return Multivector._trusted(self.n, {v: -c for v, c in self._terms.items()})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
@@ -109,44 +126,53 @@ class Multivector:
     # --- products -----------------------------------------------------------
 
     def gp(self, other: "Multivector") -> "Multivector":
-        """Geometric product, distributed over all term pairs."""
+        """Geometric product, distributed over all term pairs.
+
+        Each left term's prefix-parity mask is built once and shared by
+        every right term it meets.
+        """
         _check_dims(self, other)
-        acc: dict[BladeIndex, float] = {}
-        for ia, ca in self._terms.items():
-            for ib, cb in other._terms.items():
-                idx = ia ^ ib
-                acc[idx] = acc.get(idx, 0.0) + ca * cb * product_sign(ia, ib)
-        return Multivector(self.n, acc)
+        n = self.n
+        right = other._terms.items()
+        acc: dict[int, float] = {}
+        for a, ca in self._terms.items():
+            mask = _prefix_parity(a, n)
+            for b, cb in right:
+                v = a ^ b
+                acc[v] = acc.get(v, 0.0) + ca * cb * _masked_sign(b, mask)
+        return Multivector._trusted(n, acc)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return self.gp(other)
         if isinstance(other, (int, float)):
-            return Multivector(self.n, {idx: other * c for idx, c in self._terms.items()})
+            return Multivector._trusted(
+                self.n, {v: other * c for v, c in self._terms.items()}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def reverse(self) -> "Multivector":
         """Reversion: each grade-k term picks up (-1)^(k(k-1)/2)."""
-        return Multivector(
+        return Multivector._trusted(
             self.n,
-            {idx: c * reversion_sign(idx.grade()) for idx, c in self._terms.items()},
+            {v: c * reversion_sign(v.bit_count()) for v, c in self._terms.items()},
         )
 
     # --- extraction -----------------------------------------------------------
 
     def scalar_part(self) -> float:
         """Coefficient of the all-zero blade, 0.0 if absent."""
-        return self._terms.get(BladeIndex.scalar(self.n), 0.0)
+        return self._terms.get(0, 0.0)
 
     def project_to_support(self, filler_bits: int) -> "Multivector":
         """Keep only terms whose bits beyond position filler_bits are zero."""
         if not 0 <= filler_bits <= self.n:
             raise ValueError(f"filler_bits {filler_bits} outside 0..{self.n}")
         low = (1 << (self.n - filler_bits)) - 1
-        return Multivector(
-            self.n, {idx: c for idx, c in self._terms.items() if not idx.value & low}
+        return Multivector._trusted(
+            self.n, {v: c for v, c in self._terms.items() if not v & low}
         )
 
     # --- comparison --------------------------------------------------------------
@@ -155,8 +181,9 @@ class Multivector:
         """Key-by-key coefficient equality within absolute tolerance."""
         if not isinstance(other, Multivector) or self.n != other.n:
             return False
-        for idx in self._terms.keys() | other._terms.keys():
-            if abs(self.coeff(idx) - other.coeff(idx)) > tol:
+        mine, theirs = self._terms, other._terms
+        for v in mine.keys() | theirs.keys():
+            if abs(mine.get(v, 0.0) - theirs.get(v, 0.0)) > tol:
                 return False
         return True
 
@@ -166,6 +193,24 @@ class Multivector:
     def __repr__(self) -> str:
         body = ", ".join(f"{lit}: {c:g}" for c, lit in self.to_pairs())
         return f"Multivector(n={self.n}, {{{body}}})"
+
+
+def _fill(mv: Multivector, n: int, values: dict) -> None:
+    """Set mv's fields to n and the nonzero terms of values, each finite.
+
+    values is taken over, not copied, unless it holds a zero to drop:
+    rebuilding a dict rehashes every key, O(n) bits each.
+    """
+    if not all(map(math.isfinite, values.values())):
+        v, c = next((v, c) for v, c in values.items() if not math.isfinite(c))
+        raise ValueError(
+            f"coefficient {c!r} of blade {_shorten(format_blade(BladeIndex(n, v)))} "
+            "is not finite"
+        )
+    if 0.0 in values.values():
+        values = {v: c for v, c in values.items() if c}
+    object.__setattr__(mv, "n", n)
+    object.__setattr__(mv, "_terms", values)
 
 
 def similarity(x: Multivector, y: Multivector) -> float:

@@ -181,6 +181,16 @@ def test_encode_rejects_non_finite_weights(capsys, tmp_path, weight):
     assert not record.exists()
 
 
+def test_encode_rejects_a_weight_sum_that_overflows(capsys, tmp_path):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, out, err = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat,name=Pat",
+                       "--weights=1e308,1e308", "--out", str(record))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "not finite" in err
+    assert not record.exists()
+
+
 def _replace_once(path, old, new):
     text = path.read_text()
     assert old in text
@@ -401,6 +411,26 @@ def test_long_file_values_are_cut_in_error_text(capsys, tmp_path, case):
     err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
                              "--role", "name")
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("case", ["record-n-high", "record-n-low", "table-k"])
+def test_huge_dimensions_are_cut_in_error_text(capsys, tmp_path, case):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                   "--out", str(record))
+    assert rc == 0
+    path = table if case == "table-k" else record
+    obj = json.loads(path.read_text())
+    if case == "table-k":
+        obj["k"] = 10**4000
+    else:  # no terms, so the dimension itself is what gets checked
+        obj["n"] = 10**4000 if case == "record-n-high" else -(10**4000)
+        obj["terms"] = []
+    path.write_text(json.dumps(obj))
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert len(err.encode()) <= 140
 
 
 def test_missing_and_malformed_files(capsys, tmp_path):

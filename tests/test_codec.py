@@ -328,6 +328,14 @@ def test_ga_encode_weight_validation():
             ga_encode(t, [("name", "Pat"), ("sex", "male")], [1.0, bad])
 
 
+def test_ga_encode_drops_zero_sums_and_rejects_overflowing_ones():
+    # the record is built without range checks, but these two rules hold
+    t = small_table()
+    assert len(ga_encode(t, [("name", "Pat")] * 2, [2.0, -2.0]).payload) == 0
+    with pytest.raises(ValueError, match="not finite"):
+        ga_encode(t, [("name", "Pat")] * 2, [1e308, 1e308])
+
+
 def test_ga_single_pair_decodes_exactly():
     t = gen_symbols(5, 64, 16, ["r1", "r2"], ["f1", "f2", "f3"])
     for w in (1.0, -2.5, 7.0):

@@ -260,6 +260,73 @@ def test_ga_decode_matches_the_filler_scan_at_width(seed, n, filler_count, data)
     assert_decodes_like_the_scan(record, table)
 
 
+# --- the int-keyed core against the transposition sort -----------------------------
+
+# Integer-valued coefficients are exact in floats, so sums taken in any
+# order agree bit for bit and the comparisons below can be exact.
+_exact_coefficients = st.integers(-4, 4).map(float)
+
+
+@st.composite
+def pooled_multivectors(draw, count):
+    """count multivectors over one small blade pool, so product terms collide and cancel."""
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([31, 65, 96])))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True))
+    return tuple(
+        Multivector(n, {BladeIndex(n, v): c for v, c in draw(
+            st.dictionaries(st.sampled_from(pool), _exact_coefficients, max_size=len(pool))
+        ).items()})
+        for _ in range(count)
+    )
+
+
+def transposition_sort_sum(n, terms):
+    """Sum of c * (a b) over (c, a, b), each product by the transposition sort."""
+    acc = {}
+    for c, a, b in terms:
+        sb = product_by_transposition_sort(a, b)
+        acc[sb.index] = acc.get(sb.index, 0.0) + c * sb.sign
+    return Multivector(n, acc)
+
+
+@given(pooled_multivectors(2))
+@settings(max_examples=300, deadline=None)
+def test_gp_is_the_transposition_sort_sum_over_term_pairs(pair):
+    x, y = pair
+    want = transposition_sort_sum(
+        x.n, [(ca * cb, a, b) for a, ca in x.items() for b, cb in y.items()]
+    )
+    assert x.gp(y).items() == want.items()
+
+
+@given(crowded_tables(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ga_encode_is_the_transposition_sort_sum_over_pairs(table, data):
+    pairs = draw_pairs(data, table, 8)
+    weights = data.draw(st.lists(_exact_coefficients, min_size=len(pairs), max_size=len(pairs)))
+    want = transposition_sort_sum(
+        table.n, [(w, table.roles[r], table.fillers[f]) for (r, f), w in zip(pairs, weights)]
+    )
+    assert ga_encode(table, pairs, weights).payload.items() == want.items()
+
+
+@given(pooled_multivectors(1))
+def test_reverse_negates_exactly_the_grades_2_and_3_mod_4(single):
+    (x,) = single
+    want = [(idx, -c if idx.grade() % 4 in (2, 3) else c) for idx, c in x.items()]
+    assert x.reverse().items() == want
+
+
+@given(pooled_multivectors(1))
+def test_items_and_to_pairs_ascend_by_blade(single):
+    (x,) = single
+    values = [idx.value for idx, _ in x.items()]
+    assert values == sorted(set(values))
+    assert x.to_pairs() == [(c, format_blade(idx)) for idx, c in x.items()]
+    literals = [lit for _, lit in x.to_pairs()]
+    assert literals == sorted(literals)
+
+
 # --- classic clean-up against an independent distance scan -------------------------
 
 

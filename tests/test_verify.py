@@ -33,17 +33,17 @@ def test_tampered_encode_sign_fails_first_check(monkeypatch):
 
 
 def test_tampered_product_sign_fails_decode_check(monkeypatch):
-    # encode still uses the real sign; the multivector product does not
-    monkeypatch.setattr(multivector, "product_sign", lambda a, b: -_real_sign(a, b))
+    # encode still uses the real sign; the multivector product's int kernel does not
+    monkeypatch.setattr(multivector, "_masked_sign", lambda b, mask: -_real_sign(b, mask))
     report = verify.run_verification()
     assert not report.passed
     assert report.first_failure.name == "name-decode-terms"
 
 
-def _real_sign(a, b):
-    from bladebind.blades import product_sign
+def _real_sign(b, mask):
+    from bladebind.blades import _masked_sign
 
-    return product_sign(a, b)
+    return _masked_sign(b, mask)
 
 
 def test_fixture_table_is_the_worked_assignment():
