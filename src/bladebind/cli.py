@@ -87,8 +87,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.threshold is not None and not math.isfinite(args.threshold):
-        raise ValueError(f"--threshold must be finite, got {args.threshold}")
+    # a negative threshold would never flag a GA score and always flag a
+    # classic distance; NaN fails both comparisons
+    if args.threshold is not None and not 0 <= args.threshold < math.inf:
+        raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     record = EncodedRecord.load(args.infile)
     table = SymbolTable.load(args.memory)
     if record.codec == GA:

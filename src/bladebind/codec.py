@@ -8,9 +8,11 @@ Two interchangeable codings of the same record abstraction:
   reversion similarity, the scalar part of reverse(x) * y, which is the
   sum of x_b * y_b over shared blades b; for a unit filler blade that
   is exactly its coefficient in the unbound result.  So it walks the
-  unbound int keys, looks each up in the table's value -> name index
-  and scores only the filler hits: O(P) per decode for a P-pair record,
-  independent of the filler count.
+  unbound int keys, drops those with a set bit among the lowest
+  min(n - k, 30) machine bits (where no filler has one), looks the rest
+  up in the table's value -> name index and scores only the filler
+  hits: O(P) per decode for a P-pair record, independent of the filler
+  count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
   The vote is bit-sliced over the int bit strings: per-position counts
@@ -331,7 +333,12 @@ def ga_encode(table: SymbolTable, pairs, weights=None) -> EncodedRecord:
         role = _resolve(table.roles, role_name, "role")
         filler = _resolve(table.fillers, filler_name, "filler")
         v = role.value ^ filler.value
-        acc[v] = acc.get(v, 0.0) + w * product_sign(role, filler)
+        c = w * product_sign(role, filler)
+        # one hash per new key, as in Multivector.gp
+        size = len(acc)
+        old = acc.setdefault(v, c)
+        if len(acc) == size:
+            acc[v] = old + c
     return EncodedRecord(GA, payload=Multivector._trusted(table.n, acc))
 
 
@@ -373,11 +380,15 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
         raise ValueError("clean-up memory is empty")
     raw = Multivector.from_blade(blade_inverse(role)).gp(record.payload)
 
+    # every filler is zero beyond position k, i.e. in its lowest n - k
+    # machine bits; testing at most 30 of them reads one int digit, where
+    # the name lookup hashes all n bits (an int never caches its hash)
+    off_support = (1 << min(table.n - table.k, 30)) - 1
     best_abs = 0.0
     winner = None
     ambiguous = False
     # ascending blade order, so a later exact tie never displaces the winner
-    for v in sorted(raw._terms):
+    for v in sorted(v for v in raw._terms if not v & off_support):
         name = table._names.get(v)
         idx = table.fillers.get(name)
         if idx is None:

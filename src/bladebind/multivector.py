@@ -87,7 +87,11 @@ class Multivector:
         acc: dict[BladeIndex, float] = {}
         for coeff, literal in pairs:
             idx = parse_blade(literal, n)
-            acc[idx] = acc.get(idx, 0.0) + float(coeff)
+            c = float(coeff)
+            size = len(acc)
+            old = acc.setdefault(idx, c)
+            if len(acc) == size:
+                acc[idx] = old + c
         return cls(n, acc)
 
     # --- views --------------------------------------------------------------
@@ -114,7 +118,10 @@ class Multivector:
         _check_dims(self, other)
         acc = dict(self._terms)
         for v, c in other._terms.items():
-            acc[v] = acc.get(v, 0.0) + c
+            size = len(acc)
+            old = acc.setdefault(v, c)
+            if len(acc) == size:
+                acc[v] = old + c
         return Multivector._trusted(self.n, acc)
 
     def __neg__(self) -> "Multivector":
@@ -129,7 +136,10 @@ class Multivector:
         """Geometric product, distributed over all term pairs.
 
         Each left term's prefix-parity mask is built once and shared by
-        every right term it meets.
+        every right term it meets.  A Python int never caches its hash,
+        and hashing one reads all its bits, so each term goes into the
+        sum with one setdefault; only a key already there (the dict did
+        not grow) is hashed a second time, to add to it.
         """
         _check_dims(self, other)
         n = self.n
@@ -139,7 +149,11 @@ class Multivector:
             mask = _prefix_parity(a, n)
             for b, cb in right:
                 v = a ^ b
-                acc[v] = acc.get(v, 0.0) + ca * cb * _masked_sign(b, mask)
+                c = ca * cb * _masked_sign(b, mask)
+                size = len(acc)
+                old = acc.setdefault(v, c)
+                if len(acc) == size:
+                    acc[v] = old + c
         return Multivector._trusted(n, acc)
 
     def __mul__(self, other):

@@ -316,7 +316,7 @@ def test_record_coefficients_must_be_json_numbers(capsys, tmp_path, coefficient)
 
 
 @pytest.mark.parametrize("codec", ["ga", "classic"])
-@pytest.mark.parametrize("threshold", ["nan", "inf"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
 def test_decode_rejects_a_non_finite_threshold(capsys, tmp_path, threshold, codec):
     table = gen_table(capsys, tmp_path)
     record = tmp_path / "record.json"

@@ -336,6 +336,17 @@ def test_ga_encode_drops_zero_sums_and_rejects_overflowing_ones():
         ga_encode(t, [("name", "Pat")] * 2, [1e308, 1e308])
 
 
+def test_repeated_terms_add_up_even_when_they_share_one_float():
+    # default weights are one shared 1.0, and x + x meets each of x's own
+    # coefficient objects again: the sum must tell a repeat by the key
+    t = small_table()
+    rec = ga_encode(t, [("name", "Pat")] * 2)
+    ((blade, c),) = rec.payload.items()
+    assert blade == t.roles["name"] ^ t.fillers["Pat"]
+    assert c == 2.0 * product_sign(t.roles["name"], t.fillers["Pat"])
+    assert (rec.payload + rec.payload).items() == [(blade, 2 * c)]
+
+
 def test_ga_single_pair_decodes_exactly():
     t = gen_symbols(5, 64, 16, ["r1", "r2"], ["f1", "f2", "f3"])
     for w in (1.0, -2.5, 7.0):

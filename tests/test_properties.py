@@ -3,6 +3,7 @@
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from bladebind.blades import (
@@ -258,6 +259,51 @@ def test_ga_decode_matches_the_filler_scan_at_width(seed, n, filler_count, data)
         data, table, 12, st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
     )
     assert_decodes_like_the_scan(record, table)
+
+
+@pytest.mark.parametrize("gap", [0, 1, 29, 30, 31, 64])
+def test_support_filter_keeps_crosstalk_that_lands_on_a_filler(gap):
+    # ga_decode skips unbind terms with a set bit among the lowest
+    # min(n - k, 30) machine bits.  Two roles that agree beyond position
+    # k bind f2 into r1 ^ r2 ^ f2, on the filler support; make that a
+    # filler, so the crosstalk scores and must survive the filter.
+    n, k = 96, 96 - gap
+    rng = random.Random(gap)
+    tail = rng.getrandbits(gap) | 1 if gap else 0
+    r1, r2 = ((rng.getrandbits(k) << gap) | tail for _ in range(2))
+    r3 = rng.getrandbits(n)
+    f1, f2 = (rng.getrandbits(k) << gap for _ in range(2))
+    if not (r1 ^ r2 ^ f2) >> gap & 1:
+        f2 ^= 1 << gap  # put f3 on position k, next to the skipped bits
+    values = {"r1": r1, "r2": r2, "r3": r3, "f1": f1, "f2": f2, "f3": r1 ^ r2 ^ f2}
+    assert len(set(values.values())) == 6 and all(values.values())
+    blades = {name: BladeIndex(n, v) for name, v in values.items()}
+    table = SymbolTable(n=n, k=k, roles={r: blades[r] for r in ("r1", "r2", "r3")},
+                        fillers={f: blades[f] for f in ("f1", "f2", "f3")})
+    pairs = [("r1", "f1"), ("r2", "f2"), ("r3", "f1")]
+    for weights in ([1.0, 2.0, 0.5], [2.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 3.0, 2.0]):
+        record = ga_encode(table, pairs, weights)
+        assert_decodes_like_the_scan(record, table)
+    # the weight-3 crosstalk outscores r1's own weight-1 filler
+    assert ga_decode(record, table, "r1").filler == "f3"
+
+
+def test_ga_decode_matches_the_filler_scan_at_bind_stream_size():
+    # the shape of the benchmark's bind-stream workload: n = 10,000,
+    # k = 2,500, 64 fillers and a 32-pair record, where the support filter
+    # tests the lowest 30 of the 7,500 bits beyond k
+    rng = random.Random(2500)
+    table = gen_symbols(11, 10_000, 2_500, [f"r{i}" for i in range(64)],
+                        [f"f{i}" for i in range(64)])
+    pairs = [(f"r{i}", f"f{rng.randrange(64)}") for i in rng.sample(range(64), 32)]
+    weights = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in pairs]
+    record = ga_encode(table, pairs, weights)
+    for (role, filler), w in zip(pairs, weights):
+        res = ga_decode(record, table, role)
+        assert (res.filler, res.blade, res.score, res.ambiguous) == scan_every_filler(
+            record, table, role
+        )
+        assert res.filler == filler and abs(res.score) == abs(w)
 
 
 # --- the int-keyed core against the transposition sort -----------------------------
