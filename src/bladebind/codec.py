@@ -4,15 +4,14 @@ Two interchangeable codings of the same record abstraction:
 
 * GA codec: binding is the signed blade product, chunking is sparse
   coefficient addition, both on raw blade ints (a pair lands on
-  role.value ^ filler.value).  Clean-up ranks the fillers by the
-  reversion similarity, the scalar part of reverse(x) * y, which is the
-  sum of x_b * y_b over shared blades b; for a unit filler blade that
-  is exactly its coefficient in the unbound result.  So it walks the
-  unbound int keys, drops those with a set bit among the lowest
-  min(n - k, 30) machine bits (where no filler has one), looks the rest
-  up in the table's value -> name index and scores only the filler
-  hits: O(P) per decode for a P-pair record, independent of the filler
-  count.
+  role.value ^ filler.value).  Unbinding a role r relabels each record
+  key v as v ^ r with a +-1 sign, and clean-up reads each filler's
+  reversion similarity (the scalar part of reverse(x) * y) off that
+  relabelling as its coefficient.  So the decode walks the record's
+  keys, drops those that differ from r among the lowest min(n - k, 30)
+  machine bits (where no filler has a set bit), looks the rest up in
+  the table's value -> name index and signs only the filler hits:
+  O(P) per decode for a P-pair record, whatever the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
   The vote is bit-sliced over the int bit strings: per-position counts
@@ -39,13 +38,15 @@ from dataclasses import dataclass
 from .blades import (
     BladeIndex,
     _check_dims,
+    _masked_sign,
     _shorten,
-    blade_inverse,
     format_blade,
     parse_blade,
     product_sign,
+    reversion_sign,
 )
-from .multivector import Multivector, similarity
+from .multivector import Multivector
+from .multivector import similarity  # unused here; perfbench/spans.py patches this name
 
 __all__ = [
     "SymbolTable",
@@ -272,16 +273,17 @@ class EncodedRecord(_JsonFile):
                     (_json_value(c, (int, float), "coefficient"), lit)
                     for c, lit in obj["terms"]
                 ]
-                # to_pairs writes each blade once; a repeat would add to or
-                # cancel a term, whichever spelling (binary or hex) it uses
+                # to_pairs writes each blade once; a repeat in either spelling
+                # would add to or cancel a term, and shows as the dict not growing
                 acc: dict[int, float] = {}
                 for c, lit in terms:
                     idx = parse_blade(lit, n)
-                    if idx.value in acc:
+                    size = len(acc)
+                    acc.setdefault(idx.value, float(c))
+                    if len(acc) == size:
                         raise ValueError(
                             f"record names blade {_shorten(format_blade(idx))} twice"
                         )
-                    acc[idx.value] = float(c)
                 # parse_blade has checked n and every key; with no terms,
                 # Multivector(n) still rejects an n below 1
                 payload = Multivector._trusted(n, acc) if acc else Multivector(n)
@@ -347,26 +349,22 @@ class GaDecodeResult:
     filler: str
     blade: BladeIndex
     score: float
-    raw: Multivector
     ambiguous: bool
-
-    @property
-    def residual_terms(self) -> int:
-        """Terms of the raw unbind besides the winning filler's blade."""
-        # a scored winner's score is its raw coefficient; the fallback's is 0.0
-        return len(self.raw) - (self.score != 0.0)
+    residual_terms: int  # unbind terms besides the winning filler's blade
 
 
 def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDecodeResult:
     """Unbind a role and clean the result against the table's fillers.
 
-    raw = inverse(role) * payload, so a weight-w pair contributes
-    exactly w times its filler blade.  A filler's reversion similarity
-    with raw is exactly its coefficient there, so only the filler blades
-    among raw's terms can score nonzero; clean-up scores just those,
-    O(P) for a P-pair record whatever the number of fillers.  Crosstalk
-    off the filler support never names a filler and so never scores.
-    The winner is the filler of largest absolute score, with the signed
+    The unbind inverse(role) * payload moves each record term v to
+    v ^ role with that blade product's sign: a bijection on keys, read
+    off the record without forming the product, so a weight-w pair
+    gives exactly w times its filler blade.  A filler's reversion
+    similarity with the unbind is its coefficient there, so only the
+    filler blades among the unbind's keys score nonzero: O(P) for a
+    P-pair record whatever the number of fillers.  Crosstalk off the
+    filler support never names a filler and so never scores.  The
+    winner is the filler of largest absolute score, with the signed
     score reported (binding is projective, a global sign carries no
     information).  Exact score ties go to the lexicographically smallest
     blade and are flagged ambiguous.  When no filler is present, every
@@ -378,22 +376,26 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     role = _resolve(table.roles, role_name, "role")
     if not table.fillers:
         raise ValueError("clean-up memory is empty")
-    raw = Multivector.from_blade(blade_inverse(role)).gp(record.payload)
+    _check_dims(role, record.payload)
+    r = role.value
 
     # every filler is zero beyond position k, i.e. in its lowest n - k
-    # machine bits; testing at most 30 of them reads one int digit, where
-    # the name lookup hashes all n bits (an int never caches its hash)
+    # machine bits, so v ^ r names none unless v agrees with r there;
+    # testing at most 30 of them reads one int digit, where the name
+    # lookup hashes all n bits (an int never caches its hash)
     off_support = (1 << min(table.n - table.k, 30)) - 1
+    r_off = r & off_support
+    terms = record.payload._terms.items()
     best_abs = 0.0
     winner = None
     ambiguous = False
     # ascending blade order, so a later exact tie never displaces the winner
-    for v in sorted(v for v in raw._terms if not v & off_support):
-        name = table._names.get(v)
+    for u, v, c in sorted((v ^ r, v, c) for v, c in terms if v & off_support == r_off):
+        name = table._names.get(u)
         idx = table.fillers.get(name)
         if idx is None:
             continue
-        s = similarity(Multivector.from_blade(idx), raw)
+        s = c * reversion_sign(role.grade()) * _masked_sign(v, role.below_parity_mask())
         if abs(s) > best_abs:
             best_abs = abs(s)
             winner = (name, idx, s)
@@ -406,11 +408,8 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
         ambiguous = len(table.fillers) > 1
     name, blade, score = winner
     return GaDecodeResult(
-        filler=name,
-        blade=blade,
-        score=score,
-        raw=raw,
-        ambiguous=ambiguous,
+        filler=name, blade=blade, score=score, ambiguous=ambiguous,
+        residual_terms=len(record.payload) - (score != 0.0),
     )
 
 

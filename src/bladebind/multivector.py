@@ -1,7 +1,7 @@
 """Sparse real-coefficient combinations of blades.
 
-A multivector is a finite sum of signed blades with real weights; records
-built by the codec and the noisy results of unbinding both live here.
+A multivector is a finite sum of signed blades with real weights; the
+records built by the GA codec live here (decoding relabels their keys).
 The terms are kept as a dict from raw blade ints (the `BladeIndex.value`
 bit layout) to coefficients, with the dimension n held once, so products
 and sums run on plain ints: the product of two blades lands on the XOR

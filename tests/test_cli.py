@@ -240,7 +240,8 @@ def test_record_and_table_dimensions_must_agree(capsys, tmp_path, codec):
                    "--pairs", "name=Pat", "--out", str(path))
     assert rc == 0
     record, table = EncodedRecord.load(path), SymbolTable.load(narrow)
-    with pytest.raises(DimensionMismatch):
+    # ga_decode checks the role against the record, role first
+    with pytest.raises(DimensionMismatch, match="n=16 vs n=80" if codec == "ga" else None):
         if codec == "ga":
             ga_decode(record, table, "name")
         else:

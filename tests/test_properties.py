@@ -173,7 +173,8 @@ def scan_every_filler(record, table, role_name):
     """Reference clean-up: similarity of every filler with the projected unbind.
 
     Largest |score| wins; exact ties go to the smallest blade and are
-    ambiguous; fillers absent from the unbind all score 0.
+    ambiguous; fillers absent from the unbind all score 0.  The last
+    value counts the product's terms besides a scored winner's blade.
     """
     role = table.roles[role_name]
     raw = Multivector.from_blade(blade_inverse(role)).gp(record.payload)
@@ -188,15 +189,14 @@ def scan_every_filler(record, table, role_name):
         elif abs(s) == best_abs:
             candidates.append((blade, name, s))
     blade, name, score = min(candidates, key=lambda c: c[0].value)
-    return name, blade, score, len(candidates) > 1
+    return name, blade, score, len(candidates) > 1, len(raw) - (score != 0)
 
 
 def assert_decodes_like_the_scan(record, table):
     for role_name in table.roles:
         res = ga_decode(record, table, role_name)
-        assert (res.filler, res.blade, res.score, res.ambiguous) == scan_every_filler(
-            record, table, role_name
-        )
+        got = (res.filler, res.blade, res.score, res.ambiguous, res.residual_terms)
+        assert got == scan_every_filler(record, table, role_name)
 
 
 @st.composite
@@ -300,9 +300,8 @@ def test_ga_decode_matches_the_filler_scan_at_bind_stream_size():
     record = ga_encode(table, pairs, weights)
     for (role, filler), w in zip(pairs, weights):
         res = ga_decode(record, table, role)
-        assert (res.filler, res.blade, res.score, res.ambiguous) == scan_every_filler(
-            record, table, role
-        )
+        got = (res.filler, res.blade, res.score, res.ambiguous, res.residual_terms)
+        assert got == scan_every_filler(record, table, role)
         assert res.filler == filler and abs(res.score) == abs(w)
 
 

@@ -40,6 +40,14 @@ def test_tampered_product_sign_fails_decode_check(monkeypatch):
     assert report.first_failure.name == "name-decode-terms"
 
 
+def test_tampered_decode_sign_fails_cleanup_check(monkeypatch):
+    # the decode signs each relabelled record term itself, with no product
+    monkeypatch.setattr(codec, "_masked_sign", lambda b, mask: -_real_sign(b, mask))
+    report = verify.run_verification()
+    assert not report.passed
+    assert report.first_failure.name == "cleanup-winners"
+
+
 def _real_sign(b, mask):
     from bladebind.blades import _masked_sign
 
