@@ -3,7 +3,8 @@
 Blades are indexed by n-bit strings; the geometric product is XOR of
 the strings times a sign computed by a word-parallel kernel.  Records
 bind roles to fillers with that product, chunk by sparse addition, and
-decode by blade inverses plus a similarity clean-up.  The classic
+decode by relabelling each record key with a role's blade and reading
+the filler coefficients off the relabelled keys.  The classic
 XOR/majority/Hamming codec is included as a baseline, and Kronecker
 products of Pauli matrices give an independent numerical model used to
 cross-check everything.

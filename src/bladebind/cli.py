@@ -68,13 +68,15 @@ def cmd_encode(args) -> int:
     table = SymbolTable.load(args.infile)
     pairs = _parse_pairs(args.pairs)
     if args.codec == GA:
-        weights = _parse_weights(args.weights) if args.weights else None
+        if args.seed is not None:
+            raise ValueError("--seed applies to the classic codec only")
+        weights = None if args.weights is None else _parse_weights(args.weights)
         record = ga_encode(table, pairs, weights)
         summary = f"{len(record.payload)} terms"
     else:
-        if args.weights:
+        if args.weights is not None:
             raise ValueError("--weights applies to the ga codec only")
-        record = classic_encode(table, pairs, args.seed)
+        record = classic_encode(table, pairs, args.seed or 0)
         summary = "1 bit string"
     record.save(args.out)
     _emit(
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="role=filler[,role=filler...]")
     p.add_argument("--codec", choices=[GA, CLASSIC], default=GA)
     p.add_argument("--weights", help="comma-separated reals (ga codec only)")
-    p.add_argument("--seed", type=int, default=0, help="tie seed (classic chunking)")
+    p.add_argument("--seed", type=int, help="tie seed (classic codec only, default 0)")
     p.add_argument("--out", default="record.json")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_encode)

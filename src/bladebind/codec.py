@@ -45,7 +45,7 @@ from .blades import (
     product_sign,
     reversion_sign,
 )
-from .multivector import Multivector
+from .multivector import Multivector, _add_terms
 from .multivector import similarity  # unused here; perfbench/spans.py patches this name
 
 __all__ = [
@@ -273,21 +273,7 @@ class EncodedRecord(_JsonFile):
                     (_json_value(c, (int, float), "coefficient"), lit)
                     for c, lit in obj["terms"]
                 ]
-                # to_pairs writes each blade once; a repeat in either spelling
-                # would add to or cancel a term, and shows as the dict not growing
-                acc: dict[int, float] = {}
-                for c, lit in terms:
-                    idx = parse_blade(lit, n)
-                    size = len(acc)
-                    acc.setdefault(idx.value, float(c))
-                    if len(acc) == size:
-                        raise ValueError(
-                            f"record names blade {_shorten(format_blade(idx))} twice"
-                        )
-                # parse_blade has checked n and every key; with no terms,
-                # Multivector(n) still rejects an n below 1
-                payload = Multivector._trusted(n, acc) if acc else Multivector(n)
-                return cls(GA, payload=payload)
+                return cls(GA, payload=Multivector.from_pairs(terms, n))
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
@@ -330,18 +316,12 @@ def ga_encode(table: SymbolTable, pairs, weights=None) -> EncodedRecord:
     weights = [float(w) for w in weights]
     if len(weights) != len(pairs):
         raise ValueError(f"{len(pairs)} pairs but {len(weights)} weights")
-    acc: dict[int, float] = {}
+    terms = []
     for (role_name, filler_name), w in zip(pairs, weights):
         role = _resolve(table.roles, role_name, "role")
         filler = _resolve(table.fillers, filler_name, "filler")
-        v = role.value ^ filler.value
-        c = w * product_sign(role, filler)
-        # one hash per new key, as in Multivector.gp
-        size = len(acc)
-        old = acc.setdefault(v, c)
-        if len(acc) == size:
-            acc[v] = old + c
-    return EncodedRecord(GA, payload=Multivector._trusted(table.n, acc))
+        terms.append((role.value ^ filler.value, w * product_sign(role, filler)))
+    return EncodedRecord(GA, payload=Multivector._trusted(table.n, _add_terms({}, terms)))
 
 
 @dataclass(frozen=True)

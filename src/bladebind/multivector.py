@@ -83,16 +83,22 @@ class Multivector:
 
     @classmethod
     def from_pairs(cls, pairs, n: int) -> "Multivector":
-        """Build from (coefficient, blade-literal) pairs; duplicates accumulate."""
-        acc: dict[BladeIndex, float] = {}
+        """Build from (coefficient, blade-literal) pairs, as `to_pairs` writes them.
+
+        Each blade may be named once: a repeat, in the same spelling or
+        binary against hex, raises ValueError rather than adding to or
+        cancelling the term.
+        """
+        values: dict[int, float] = {}
         for coeff, literal in pairs:
             idx = parse_blade(literal, n)
-            c = float(coeff)
-            size = len(acc)
-            old = acc.setdefault(idx, c)
-            if len(acc) == size:
-                acc[idx] = old + c
-        return cls(n, acc)
+            size = len(values)
+            values.setdefault(idx.value, float(coeff))
+            if len(values) == size:
+                raise ValueError(f"blade {_shorten(format_blade(idx))} is named twice")
+        # parse_blade has checked n and every key; with no terms, cls(n)
+        # still rejects an n below 1
+        return cls._trusted(n, values) if values else cls(n)
 
     # --- views --------------------------------------------------------------
 
@@ -116,13 +122,7 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         _check_dims(self, other)
-        acc = dict(self._terms)
-        for v, c in other._terms.items():
-            size = len(acc)
-            old = acc.setdefault(v, c)
-            if len(acc) == size:
-                acc[v] = old + c
-        return Multivector._trusted(self.n, acc)
+        return Multivector._trusted(self.n, _add_terms(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "Multivector":
         return Multivector._trusted(self.n, {v: -c for v, c in self._terms.items()})
@@ -136,25 +136,19 @@ class Multivector:
         """Geometric product, distributed over all term pairs.
 
         Each left term's prefix-parity mask is built once and shared by
-        every right term it meets.  A Python int never caches its hash,
-        and hashing one reads all its bits, so each term goes into the
-        sum with one setdefault; only a key already there (the dict did
-        not grow) is hashed a second time, to add to it.
+        every right term it meets.
         """
         _check_dims(self, other)
         n = self.n
         right = other._terms.items()
-        acc: dict[int, float] = {}
-        for a, ca in self._terms.items():
-            mask = _prefix_parity(a, n)
-            for b, cb in right:
-                v = a ^ b
-                c = ca * cb * _masked_sign(b, mask)
-                size = len(acc)
-                old = acc.setdefault(v, c)
-                if len(acc) == size:
-                    acc[v] = old + c
-        return Multivector._trusted(n, acc)
+
+        def terms():
+            for a, ca in self._terms.items():
+                mask = _prefix_parity(a, n)
+                for b, cb in right:
+                    yield a ^ b, ca * cb * _masked_sign(b, mask)
+
+        return Multivector._trusted(n, _add_terms({}, terms()))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -207,6 +201,23 @@ class Multivector:
     def __repr__(self) -> str:
         body = ", ".join(f"{lit}: {c:g}" for c, lit in self.to_pairs())
         return f"Multivector(n={self.n}, {{{body}}})"
+
+
+def _add_terms(acc: dict, terms) -> dict:
+    """Add the (key, coefficient) pairs of terms into acc; return acc.
+
+    A Python int never caches its hash, and hashing one reads all its
+    bits, so each term goes in with one setdefault; only a key already
+    there is hashed a second time, to add to it.  The dict not growing
+    tells a repeat: comparing setdefault's result with the coefficient
+    could not, since equal floats can be one object.
+    """
+    for v, c in terms:
+        size = len(acc)
+        old = acc.setdefault(v, c)
+        if len(acc) == size:
+            acc[v] = old + c
+    return acc
 
 
 def _fill(mv: Multivector, n: int, values: dict) -> None:

@@ -139,6 +139,36 @@ def test_classic_rejects_weights(capsys, tmp_path):
     assert rc == 2 and "weights" in err
 
 
+@pytest.mark.parametrize(
+    "codec, flag, message",
+    [
+        ("ga", "--weights=", "bad weight list ''"),
+        ("classic", "--weights=", "--weights applies to the ga codec only"),
+        ("ga", "--seed=7", "--seed applies to the classic codec only"),
+        ("ga", "--seed=0", "--seed applies to the classic codec only"),
+    ],
+    ids=["ga-empty-weights", "classic-empty-weights", "ga-seed-7", "ga-seed-0"],
+)
+def test_encode_rejects_a_flag_the_codec_does_not_read(capsys, tmp_path, codec, flag, message):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "r.json"
+    err = assert_usage_error(capsys, "encode", "--in", str(table), "--codec", codec,
+                             "--pairs", "name=Pat", flag, "--out", str(record))
+    assert message in err
+    assert not record.exists()
+
+
+def test_classic_seed_defaults_to_zero(capsys, tmp_path):
+    table = gen_table(capsys, tmp_path)
+    records = []
+    for seed in ([], ["--seed", "0"]):
+        records.append(tmp_path / f"r{len(records)}.json")
+        rc, _, _ = run(capsys, "encode", "--in", str(table), "--codec", "classic",
+                       "--pairs", "name=Pat,sex=male", *seed, "--out", str(records[-1]))
+        assert rc == 0
+    assert records[0].read_text() == records[1].read_text()
+
+
 def test_encode_bad_pair_syntax(capsys, tmp_path):
     table = gen_table(capsys, tmp_path)
     rc, _, err = run(capsys, "encode", "--in", str(table),

@@ -17,7 +17,7 @@ def mv(pairs, n=4):
 def test_exact_zeros_are_dropped():
     x = Multivector(4, {BladeIndex.from_bits("1010"): 0.0})
     assert len(x) == 0
-    y = mv([(2.0, "1010"), (-2.0, "1010")])
+    y = mv([(2.0, "1010")]) + mv([(-2.0, "1010")])
     assert len(y) == 0
 
 
@@ -29,10 +29,11 @@ def test_non_finite_coefficients_are_rejected(bad):
         mv([(1.0, "1100"), (bad, "0011")])
 
 
-def test_from_pairs_accumulates_duplicates():
-    x = mv([(1.0, "1100"), (2.5, "1100")])
-    assert x.coeff(BladeIndex.from_bits("1100")) == 3.5
-    assert len(x) == 1
+@pytest.mark.parametrize("second", ["1100", "c"], ids=["same-literal", "binary-and-hex"])
+def test_from_pairs_rejects_a_repeated_blade(second):
+    # to_pairs writes each blade once; a repeat, binary or hex, would add or cancel
+    with pytest.raises(ValueError, match="blade 1100 is named twice"):
+        mv([(1.0, "1100"), (2.5, "0011"), (-1.0, second)])
 
 
 def test_linear_ops():
