@@ -26,7 +26,6 @@ differential testing.
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass
 
 __all__ = [
     "BladeIndex",
@@ -196,20 +195,33 @@ class BladeIndex:
         )
 
 
-@dataclass(frozen=True)
 class SignedBlade:
-    """A blade with an explicit sign in {+1, -1}.
+    """A blade with an explicit sign in {+1, -1}.  Immutable after construction.
 
     Signs are kept as ints, never booleans or floats, so composition
     stays literal multiplication.
     """
 
-    sign: int
-    index: BladeIndex
+    __slots__ = ("sign", "index")
 
-    def __post_init__(self):
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+    def __init__(self, sign: int, index: BladeIndex):
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("SignedBlade is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SignedBlade)
+            and self.sign == other.sign
+            and self.index == other.index
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.index))
 
     def __mul__(self, other: "SignedBlade") -> "SignedBlade":
         return geometric_product(self, other)

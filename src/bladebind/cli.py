@@ -1,7 +1,8 @@
 """Command-line front end: gen, encode, decode, verify, bench.
 
 Exit codes: 0 success, 1 verification or benchmark assertion failure,
-2 usage error (bad flags, malformed files, unknown names).
+2 usage or environment error (bad flags, malformed files, unknown names,
+numpy missing for verify or bench).
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Collection
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .blades import (
     BladeIndex,
@@ -105,7 +104,6 @@ def _unique_keys(pairs: list) -> dict:
 # --- symbol tables ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SymbolTable(_JsonFile):
     """Named role and filler blades sharing one dimension.
 
@@ -119,50 +117,44 @@ class SymbolTable(_JsonFile):
     index stale.
     """
 
-    n: int
-    k: int
-    roles: dict
-    fillers: dict
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(
-                f"filler bits k={_shorten(str(self.k))} outside 1..{_shorten(str(self.n))}"
-            )
-        overlap = self.roles.keys() & self.fillers.keys()
+    def __init__(self, n: int, k: int, roles: dict, fillers: dict):
+        if not 1 <= k <= n:
+            raise ValueError(f"filler bits k={_shorten(str(k))} outside 1..{_shorten(str(n))}")
+        overlap = roles.keys() & fillers.keys()
         if overlap:
             raise ValueError(
                 f"names used as both role and filler: {_shorten(repr(sorted(overlap)))}"
             )
         names: dict[int, str] = {}
-        for kind, mapping in (("role", self.roles), ("filler", self.fillers)):
+        for kind, mapping in (("role", roles), ("filler", fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
                     raise ValueError(
                         f"{kind} name must be a nonempty string: {_shorten(repr(name))}"
                     )
-                if blade.n != self.n:
+                if blade.n != n:
                     raise ValueError(
-                        f"{kind} {_shorten(repr(name))} has dimension {blade.n}, "
-                        f"table has {self.n}"
+                        f"{kind} {_shorten(repr(name))} has dimension {blade.n}, table has {n}"
                     )
                 if not blade.value:
                     raise ValueError(f"{kind} {_shorten(repr(name))} is the all-zero string")
                 # bits beyond position k sit below machine bit n - k: the
                 # lowest set bit tells, with no n-bit mask to build
-                if kind == "filler" and (
-                    (blade.value & -blade.value).bit_length() <= self.n - self.k
-                ):
-                    raise ValueError(
-                        f"filler {_shorten(repr(name))} has bits beyond position {self.k}"
-                    )
+                if kind == "filler" and (blade.value & -blade.value).bit_length() <= n - k:
+                    raise ValueError(f"filler {_shorten(repr(name))} has bits beyond position {k}")
                 if blade.value in names:
                     raise ValueError(
                         f"{kind} {_shorten(repr(name))} collides with "
                         f"{_shorten(repr(names[blade.value]))}"
                     )
                 names[blade.value] = name
-        object.__setattr__(self, "_names", names)
+        self.n, self.k, self.roles, self.fillers, self._names = n, k, roles, fillers, names
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SymbolTable) and (
+            (self.n, self.k, self.roles, self.fillers)
+            == (other.n, other.k, other.roles, other.fillers)
+        )
 
     # - serialization -
 
@@ -236,23 +228,21 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
 # --- records -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EncodedRecord(_JsonFile):
     """A chunked record: a sparse multivector (GA) or one bit string (classic)."""
 
-    codec: str
-    payload: Multivector | None = None
-    bits: BladeIndex | None = None
-
-    def __post_init__(self):
-        if self.codec == GA:
-            if not isinstance(self.payload, Multivector) or self.bits is not None:
+    def __init__(
+        self, codec: str, payload: Multivector | None = None, bits: BladeIndex | None = None
+    ):
+        if codec == GA:
+            if not isinstance(payload, Multivector) or bits is not None:
                 raise ValueError("ga record needs a payload multivector and no bits")
-        elif self.codec == CLASSIC:
-            if not isinstance(self.bits, BladeIndex) or self.payload is not None:
+        elif codec == CLASSIC:
+            if not isinstance(bits, BladeIndex) or payload is not None:
                 raise ValueError("classic record needs bits and no payload")
         else:
-            raise ValueError(f"unknown codec {_shorten(repr(self.codec))}")
+            raise ValueError(f"unknown codec {_shorten(repr(codec))}")
+        self.codec, self.payload, self.bits = codec, payload, bits
 
     @property
     def n(self) -> int:
@@ -281,8 +271,7 @@ class EncodedRecord(_JsonFile):
         return cls(codec)
 
 
-@dataclass(frozen=True)
-class CleanupMemory:
+class CleanupMemory(namedtuple("CleanupMemory", "entries")):
     """The classic Hamming item memory: named fillers, nearest bit distance wins.
 
     entries is a collection of (name, blade) pairs; from_table gives a
@@ -290,7 +279,7 @@ class CleanupMemory:
     entry's dimension against the record as it measures the distance.
     """
 
-    entries: Collection
+    __slots__ = ()
 
     @classmethod
     def from_table(cls, table: SymbolTable, metric: str) -> "CleanupMemory":
@@ -324,13 +313,8 @@ def ga_encode(table: SymbolTable, pairs, weights=None) -> EncodedRecord:
     return EncodedRecord(GA, payload=Multivector._trusted(table.n, _add_terms({}, terms)))
 
 
-@dataclass(frozen=True)
-class GaDecodeResult:
-    filler: str
-    blade: BladeIndex
-    score: float
-    ambiguous: bool
-    residual_terms: int  # unbind terms besides the winning filler's blade
+# residual_terms: unbind terms besides the winning filler's blade
+GaDecodeResult = namedtuple("GaDecodeResult", "filler blade score ambiguous residual_terms")
 
 
 def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDecodeResult:
@@ -467,12 +451,7 @@ def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
     return EncodedRecord(CLASSIC, bits=majority_chunk(bound, seed))
 
 
-@dataclass(frozen=True)
-class ClassicDecodeResult:
-    filler: str
-    blade: BladeIndex
-    distance: int
-    ambiguous: bool
+ClassicDecodeResult = namedtuple("ClassicDecodeResult", "filler blade distance ambiguous")
 
 
 def classic_decode(

@@ -16,7 +16,7 @@ tampered sign rule upstream shows up here.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -59,17 +59,12 @@ def fixture_table() -> SymbolTable:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    expected: str
-    actual: str
+CheckResult = namedtuple("CheckResult", "name passed expected actual")
 
 
-@dataclass
 class VerificationReport:
-    checks: list = field(default_factory=list)
+    def __init__(self, checks=()):
+        self.checks = list(checks)
 
     def record(self, name: str, passed: bool, expected, actual) -> None:
         self.checks.append(CheckResult(name, bool(passed), str(expected), str(actual)))
@@ -83,7 +78,7 @@ class VerificationReport:
         return next((c for c in self.checks if not c.passed), None)
 
     def to_json(self) -> dict:
-        return {"passed": self.passed, **asdict(self)}
+        return {"passed": self.passed, "checks": [c._asdict() for c in self.checks]}
 
     def format_text(self) -> str:
         lines = []

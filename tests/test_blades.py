@@ -192,6 +192,20 @@ def test_signed_blade_sign_domain():
     assert (-sb(1, "10")).sign == -1
 
 
+def test_signed_blade_is_an_immutable_hashable_value():
+    a = b("1010")
+    x = SignedBlade(1, a)
+    with pytest.raises(AttributeError):
+        x.sign = -1
+    assert x.sign == 1
+    # equal only to a SignedBlade of the same sign and index, never to a tuple
+    assert x != (1, a)
+    assert x != sb(-1, "1010") and x != sb(1, "1011")
+    twin = SignedBlade(1, b("1010"))
+    assert x == twin and hash(x) == hash(twin)
+    assert len({x, twin, -x}) == 2
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         product_sign(b("10"), b("100"))

@@ -1,4 +1,5 @@
-"""gen, encode and decode run without importing numpy; the oracle names load on use."""
+"""gen, encode and decode run without importing numpy or dataclasses; the oracle names
+load on use, and without numpy verify and bench fail as an environment error."""
 
 import os
 import subprocess
@@ -10,10 +11,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs `python -m bladebind <argv...>` and reports, at interpreter exit,
-# whether numpy was ever imported.
+# which of numpy, dataclasses and inspect were ever imported.
 CLI_PROBE = """
 import atexit, runpy, sys
-atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+unwanted = ("numpy", "dataclasses", "inspect")
+atexit.register(
+    lambda: print("loaded:", *[m for m in unwanted if m in sys.modules], file=sys.stderr)
+)
+sys.argv = ["bladebind", *sys.argv[1:]]
+runpy.run_module("bladebind", run_name="__main__", alter_sys=True)
+"""
+
+# Runs `python -m bladebind <argv...>` with every import of numpy failing.
+NO_NUMPY_PROBE = """
+import runpy, sys
+sys.modules["numpy"] = None
 sys.argv = ["bladebind", *sys.argv[1:]]
 runpy.run_module("bladebind", run_name="__main__", alter_sys=True)
 """
@@ -21,7 +33,8 @@ runpy.run_module("bladebind", run_name="__main__", alter_sys=True)
 EXPORT_PROBE = """
 import sys
 import bladebind
-assert "numpy" not in sys.modules, "import bladebind loaded numpy"
+for name in ("numpy", "dataclasses", "inspect"):
+    assert name not in sys.modules, f"import bladebind loaded {name}"
 for name in ("rep", "run_verification", "run_bench"):
     assert callable(getattr(bladebind, name)), name
 from bladebind import blade_matrix, pauli
@@ -43,7 +56,7 @@ def python(*argv, cwd):
 def run_cli(tmp_path, *argv):
     proc = python("-c", CLI_PROBE, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr.splitlines()[-1] == "loaded:"
     return proc.stdout
 
 
@@ -61,3 +74,13 @@ def test_gen_encode_decode_never_import_numpy(tmp_path, codec):
 def test_numpy_backed_exports_resolve_on_first_use(tmp_path):
     proc = python("-c", EXPORT_PROBE, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["bench", "--n", "64"]])
+def test_numpy_backed_commands_without_numpy_exit_2(tmp_path, argv):
+    proc = python("-c", NO_NUMPY_PROBE, *argv, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "numpy" in line
