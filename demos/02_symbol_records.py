@@ -6,9 +6,9 @@ Binding, chunking and clean-up at n = 64
 
 from bladebind import ga_decode, ga_encode, gen_symbols
 
-# Draw a random symbol table: three roles anywhere in the 64-bit space,
-# fillers confined to the leading 16 bits so that unbinding noise lands
-# outside their support and can be projected away.
+# Draw a random symbol table: four roles anywhere in the 64-bit space,
+# fillers confined to the leading 16 bits, so that a relabelled key of
+# another pair almost always lands outside their support.
 table = gen_symbols(
     seed=7,
     n=64,
@@ -25,9 +25,12 @@ for name, blade in table.fillers.items():
 record = ga_encode(table, [("name", "Pat"), ("sex", "male"), ("age", "66")])
 print("record terms:", len(record.payload))
 
-# Decoding a role multiplies by the role's inverse and ranks fillers by
-# absolute similarity.  The bound filler comes back at full weight; the
-# other two pairs survive as residual terms off the filler support.
+# Decoding a role relabels each record key v as v XOR role, with the
+# sign the role's inverse would give it, and reads the filler
+# coefficients off the relabelled keys; the largest in absolute value
+# wins.  The bound filler comes back at full weight; the other two pairs
+# are relabelled onto keys that name no filler and are counted as
+# residual terms.
 for role in ("name", "sex", "age"):
     res = ga_decode(record, table, role)
     print(

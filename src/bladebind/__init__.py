@@ -16,32 +16,10 @@ gen/encode/decode run without loading numpy.
 
 import importlib
 
-from .blades import (
-    BladeIndex,
-    DimensionMismatch,
-    SignedBlade,
-    blade_inverse,
-    format_blade,
-    geometric_product,
-    parse_blade,
-    product_sign,
-    reversion_sign,
-)
-from .codec import (
-    CleanupMemory,
-    ClassicDecodeResult,
-    EncodedRecord,
-    GaDecodeResult,
-    SymbolTable,
-    classic_decode,
-    classic_encode,
-    ga_decode,
-    ga_encode,
-    gen_symbols,
-    hamming,
-    majority_chunk,
-)
-from .multivector import Multivector, min_factor_count, similarity, trace_product
+from . import blades, codec, multivector
+from .blades import *
+from .codec import *
+from .multivector import *
 
 # name -> submodule for the re-exports that need numpy
 _LAZY = {
@@ -64,36 +42,4 @@ def __getattr__(name):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BladeIndex",
-    "SignedBlade",
-    "DimensionMismatch",
-    "Multivector",
-    "SymbolTable",
-    "EncodedRecord",
-    "CleanupMemory",
-    "GaDecodeResult",
-    "ClassicDecodeResult",
-    "blade_inverse",
-    "blade_matrix",
-    "classic_decode",
-    "classic_encode",
-    "format_blade",
-    "ga_decode",
-    "ga_encode",
-    "gen_symbols",
-    "generator_matrix",
-    "geometric_product",
-    "hamming",
-    "majority_chunk",
-    "min_factor_count",
-    "parse_blade",
-    "pauli",
-    "product_sign",
-    "rep",
-    "reversion_sign",
-    "run_bench",
-    "run_verification",
-    "similarity",
-    "trace_product",
-]
+__all__ = [*blades.__all__, *codec.__all__, *multivector.__all__, *_LAZY]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification or benchmark assertion failure,
 2 usage or environment error (bad flags, malformed files, unknown names,
-numpy missing for verify or bench).
+a size too large to draw from, numpy missing for verify or bench).
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roles", default="r1,r2,r3", help="comma-separated role names")
     p.add_argument("--fillers", default="f1,f2,f3", help="comma-separated filler names")
     p.add_argument("--out", default="symbols.json")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("encode", help="encode role=filler pairs into a record")
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="comma-separated reals (ga codec only)")
     p.add_argument("--seed", type=int, help="tie seed (classic codec only, default 0)")
     p.add_argument("--out", default="record.json")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_encode)
 
     p = sub.add_parser("decode", help="unbind a role and clean up the filler")
@@ -180,20 +178,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ga: min |score| before flagging (default 0.5); classic: max distance",
     )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_decode)
 
     p = sub.add_parser("verify", help="replay the pinned four-bit worked record")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="time the sign kernel and the codecs")
     p.add_argument("--n", type=int, action="append",
                    help="size to measure (repeatable; default 1024 and 10000)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=cmd_bench)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -201,7 +198,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, ImportError) as exc:
+    except (ValueError, OverflowError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,14 +197,17 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
     for the requested number of symbols.
     """
     if not 1 <= k <= n:
-        raise ValueError(f"filler bits k={k} outside 1..{n}")
+        raise ValueError(f"filler bits k={_shorten(str(k))} outside 1..{_shorten(str(n))}")
     role_names = list(role_names)
     filler_names = list(filler_names)
     names = role_names + filler_names
     if len(set(names)) != len(names):
         raise ValueError("duplicate symbol name")
-    if len(filler_names) > (1 << k) - 1 or len(names) > (1 << n) - 1:
-        raise ValueError(f"n={n}, k={k} cannot host {len(names)} distinct symbols")
+    # c <= 2^b - 1 exactly when c.bit_length() <= b, and 2^n is never built
+    if len(filler_names).bit_length() > k or len(names).bit_length() > n:
+        raise ValueError(
+            f"n={_shorten(str(n))}, k={_shorten(str(k))} cannot host {len(names)} distinct symbols"
+        )
 
     rng = random.Random(seed)
     used: set[int] = set()
@@ -216,7 +219,8 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
                 used.add(v)
                 return v
         raise ValueError(
-            f"could not draw {len(names)} distinct symbols at n={n}, k={k}; "
+            f"could not draw {len(names)} distinct symbols "
+            f"at n={_shorten(str(n))}, k={_shorten(str(k))}; "
             "dimension too small"
         )
 

@@ -30,7 +30,7 @@ from .blades import (
     reversion_sign,
 )
 
-__all__ = ["Multivector", "similarity", "trace_product", "min_factor_count", "DEFAULT_TOLERANCE"]
+__all__ = ["Multivector", "similarity", "trace_product", "min_factor_count"]
 
 # Absolute tolerance for coefficient comparison; the algebra itself is exact,
 # so this only matters when comparing against the matrix oracle.

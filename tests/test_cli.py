@@ -551,6 +551,28 @@ def test_bench_checks_every_size_before_timing(capsys, monkeypatch):
     assert err == "error: n=3, k=1 cannot host 6 distinct symbols\n"
 
 
+HUGE = "9" * 4001  # digits; int() still parses it, but 1 << HUGE overflows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", HUGE, "--k", "1", "--roles", "a", "--fillers", "b"],
+        ["gen", "--n", "5", "--k", HUGE, "--roles", "a", "--fillers", "b"],
+        ["gen", "--n", "3000000000", "--k", "1", "--roles", "a", "--fillers", "b"],
+        ["bench", "--n", HUGE],
+    ],
+    ids=["gen-huge-n", "gen-huge-k", "gen-n-beyond-c-int", "bench-huge-n"],
+)
+def test_a_huge_size_is_one_short_error_line(capsys, tmp_path, argv):
+    # no 2^n is built and no traceback escapes; the echoed size is cut
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "t.json")]
+    err = assert_usage_error(capsys, *argv)
+    assert len(err.encode()) <= 140
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

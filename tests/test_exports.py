@@ -1,5 +1,6 @@
 """Every name in the package's and each module's export list resolves,
-and every name the benchmark's tracer patches is still bound."""
+the package re-exports the modules' own objects, and every name the
+benchmark's tracer patches is still bound."""
 
 import importlib
 import importlib.util
@@ -25,6 +26,18 @@ def test_export_list_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("module", [blades, codec, multivector], ids=lambda m: m.__name__)
+def test_package_reexports_each_module_object(module):
+    copies = [name for name in module.__all__ if getattr(bladebind, name) is not getattr(module, name)]
+    assert copies == []
+
+
+@pytest.mark.parametrize("name", sorted(bladebind._LAZY))
+def test_package_reexports_each_lazy_object(name):
+    module = importlib.import_module(f"bladebind.{bladebind._LAZY[name]}")
+    assert getattr(bladebind, name) is getattr(module, name)
 
 
 def test_every_name_the_tracer_patches_is_bound():
