@@ -101,24 +101,6 @@ class BladeIndex:
         return cls(len(text), int(text, 2))
 
     @classmethod
-    def from_hex(cls, text: str, n: int) -> "BladeIndex":
-        """Build from big-endian hex nibbles, left-padded to ceil(n/4) digits."""
-        if len(text) != (n + 3) // 4:
-            raise ValueError(
-                f"hex literal {_shorten(repr(text))} has {len(text)} nibbles, "
-                f"expected {(n + 3) // 4}"
-            )
-        # unhexlify takes hex digits only, where int(text, 16) would also
-        # take signs, spaces, underscores and a 0x prefix.
-        try:
-            raw = binascii.unhexlify("0" * (len(text) % 2) + text)
-        except ValueError:
-            raise ValueError(
-                f"hex literal {_shorten(repr(text))} has characters outside 0-9a-fA-F"
-            ) from None
-        return cls(n, int.from_bytes(raw, "big"))
-
-    @classmethod
     def from_positions(cls, positions, n: int) -> "BladeIndex":
         """Build from 1-based generator positions, e.g. [1, 2, 5] -> e_125."""
         value = 0
@@ -127,11 +109,6 @@ class BladeIndex:
                 raise ValueError(f"generator position {p} outside 1..{n}")
             value |= 1 << (n - p)
         return cls(n, value)
-
-    @classmethod
-    def scalar(cls, n: int) -> "BladeIndex":
-        """The all-zero string: the scalar blade 1."""
-        return cls(n, 0)
 
     # --- views ----------------------------------------------------------
 
@@ -157,6 +134,8 @@ class BladeIndex:
     # --- algebra ----------------------------------------------------------
 
     def __xor__(self, other: "BladeIndex") -> "BladeIndex":
+        if not isinstance(other, BladeIndex):
+            return NotImplemented
         _check_dims(self, other)
         return BladeIndex(self.n, self.value ^ other.value)
 
@@ -185,6 +164,8 @@ class BladeIndex:
         return hash((self.n, self.value))
 
     def __lt__(self, other: "BladeIndex") -> bool:
+        if not isinstance(other, BladeIndex):
+            return NotImplemented
         # Lexicographic on fixed-width literals == numeric on values.
         _check_dims(self, other)
         return self.value < other.value
@@ -224,6 +205,8 @@ class SignedBlade:
         return hash((self.sign, self.index))
 
     def __mul__(self, other: "SignedBlade") -> "SignedBlade":
+        if not isinstance(other, SignedBlade):
+            return NotImplemented
         return geometric_product(self, other)
 
     def __neg__(self) -> "SignedBlade":
@@ -298,9 +281,19 @@ def parse_blade(text: str, n: int) -> BladeIndex:
     where both readings coincide).
     """
     if len(text) == n and not set(text) - {"0", "1"}:
-        return BladeIndex.from_bits(text)
+        if not text:  # n = 0: the empty string names no blade
+            raise ValueError(f"not a binary blade literal: {text!r}")
+        return BladeIndex(n, int(text, 2))
     if len(text) == (n + 3) // 4:
-        return BladeIndex.from_hex(text, n)
+        # unhexlify takes hex digits only, where int(text, 16) would also
+        # take signs, spaces, underscores and a 0x prefix.
+        try:
+            raw = binascii.unhexlify("0" * (len(text) % 2) + text)
+        except ValueError:
+            raise ValueError(
+                f"hex literal {_shorten(repr(text))} has characters outside 0-9a-fA-F"
+            ) from None
+        return BladeIndex(n, int.from_bytes(raw, "big"))
     raise ValueError(
         f"blade literal {_shorten(repr(text))} matches neither binary nor hex "
         f"for n={_shorten(str(n))}"

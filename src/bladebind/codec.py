@@ -263,10 +263,13 @@ class EncodedRecord(_JsonFile):
             codec = obj["codec"]
             n = _json_value(obj["n"], (int,), "n")
             if codec == GA:
-                terms = [
-                    (_json_value(c, (int, float), "coefficient"), lit)
-                    for c, lit in obj["terms"]
-                ]
+                try:
+                    terms = [
+                        (_json_value(c, (int, float), "coefficient"), lit)
+                        for c, lit in obj["terms"]
+                    ]
+                except ValueError:  # only unpacking raises it here
+                    raise TypeError("each term must be a [coefficient, literal] pair") from None
                 return cls(GA, payload=Multivector.from_pairs(terms, n))
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))

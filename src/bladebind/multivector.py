@@ -121,6 +121,8 @@ class Multivector:
     # --- linear structure ---------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        if not isinstance(other, Multivector):
+            return NotImplemented
         _check_dims(self, other)
         return Multivector._trusted(self.n, _add_terms(dict(self._terms), other._terms.items()))
 
@@ -128,6 +130,8 @@ class Multivector:
         return Multivector._trusted(self.n, {v: -c for v, c in self._terms.items()})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
+        if not isinstance(other, Multivector):
+            return NotImplemented
         return self + (-other)
 
     # --- products -----------------------------------------------------------
@@ -185,17 +189,16 @@ class Multivector:
 
     # --- comparison --------------------------------------------------------------
 
-    def approx_eq(self, other: "Multivector", tol: float = DEFAULT_TOLERANCE) -> bool:
-        """Key-by-key coefficient equality within absolute tolerance."""
+    def __eq__(self, other) -> bool:
+        """Key-by-key coefficient equality within DEFAULT_TOLERANCE."""
         if not isinstance(other, Multivector) or self.n != other.n:
             return False
         mine, theirs = self._terms, other._terms
         for v in mine.keys() | theirs.keys():
-            if abs(mine.get(v, 0.0) - theirs.get(v, 0.0)) > tol:
+            if abs(mine.get(v, 0.0) - theirs.get(v, 0.0)) > DEFAULT_TOLERANCE:
                 return False
         return True
 
-    __eq__ = approx_eq
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
     def __repr__(self) -> str:

@@ -67,7 +67,7 @@ def test_c1_sign_rule_regression(report):
     e26 = BladeIndex.from_positions([2, 6], 8)
     e1567 = BladeIndex.from_positions([1, 5, 6, 7], 8)
     cases = [
-        (e1, e1, 1, BladeIndex.scalar(8)),
+        (e1, e1, 1, BladeIndex(8, 0)),
         (e1, e12, 1, e2),
         (e12, e1, -1, e2),
         (e1257, e26, -1, e1567),  # three jumps, (-1)^3

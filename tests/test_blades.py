@@ -60,7 +60,7 @@ def test_four_blade_times_two_blade_positions():
 
 
 def test_scalar_is_identity_on_both_sides():
-    one = BladeIndex.scalar(4)
+    one = BladeIndex(4, 0)
     for text in ("0000", "1010", "1111"):
         assert product_sign(one, b(text)) == 1
         assert product_sign(b(text), one) == 1
@@ -120,7 +120,7 @@ def test_blade_inverse_cancels():
         n = rng.randrange(1, 80)
         x = BladeIndex(n, rng.getrandbits(n))
         prod = blade_inverse(x) * SignedBlade(1, x)
-        assert prod == SignedBlade(1, BladeIndex.scalar(n))
+        assert prod == SignedBlade(1, BladeIndex(n, 0))
 
 
 def test_unbind_recovers_filler_exhaustively_and_at_scale():
@@ -252,16 +252,25 @@ def test_parse_blade_length_mismatch():
 def test_hex_literals_take_hex_digits_only(text):
     assert len(text) == 20  # the nibble count for n=80
     with pytest.raises(ValueError, match="0-9a-fA-F"):
-        BladeIndex.from_hex(text, 80)
-    with pytest.raises(ValueError):
         parse_blade(text, 80)
     assert parse_blade("02CE6000000000000000", 80) == BladeIndex(80, 0x2CE6 << 60)
+
+
+@pytest.mark.parametrize(
+    "n, fits, too_wide, value",
+    [(5, "1f", "3f", 0b11111), (81, "1" + "0" * 20, "2" + "0" * 20, 1 << 80)],
+)
+def test_hex_literals_bound_the_top_nibble(n, fits, too_wide, value):
+    # when 4 does not divide n the top nibble holds n % 4 positions
+    assert parse_blade(fits, n) == BladeIndex(n, value)
+    with pytest.raises(ValueError, match=f"does not fit in {n} bits"):
+        parse_blade(too_wide, n)
 
 
 def test_hex_and_bits_views_agree():
     x = b("10110001")
     assert x.hex == "b1"
-    assert BladeIndex.from_hex("b1", 8) == x
+    assert parse_blade("b1", 8) == x
     assert x.bits == "10110001"
 
 

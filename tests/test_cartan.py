@@ -89,7 +89,7 @@ def test_blade_matrix_is_ordered_generator_product():
     b = BladeIndex.from_positions([2, 3, 5], 6)
     expected = generator_matrix(2, m) @ generator_matrix(3, m) @ generator_matrix(5, m)
     assert np.array_equal(blade_matrix(b, m), expected)
-    assert np.array_equal(blade_matrix(BladeIndex.scalar(6), m), np.eye(8))
+    assert np.array_equal(blade_matrix(BladeIndex(6, 0), m), np.eye(8))
 
 
 def test_two_blade_factorizations_at_four_factors():
@@ -103,7 +103,7 @@ def test_two_blade_factorizations_at_four_factors():
 
 def test_blade_matrix_rejects_too_many_positions():
     with pytest.raises(ValueError):
-        blade_matrix(BladeIndex.scalar(7), 3)  # 7 positions need m >= 4
+        blade_matrix(BladeIndex(7, 0), 3)  # 7 positions need m >= 4
 
 
 def test_product_homomorphism_random_pairs():

@@ -346,6 +346,33 @@ def test_record_coefficients_must_be_json_numbers(capsys, tmp_path, coefficient)
     assert "coefficient must be a JSON int or float" in err
 
 
+@pytest.mark.parametrize(
+    "row", [[1.0, "0" * 64, 3], [1.0], "abc"], ids=["three-items", "one-item", "string"]
+)
+def test_a_term_that_is_not_a_pair_is_a_malformed_record(capsys, tmp_path, row):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat", "--out", str(record))
+    obj = json.loads(record.read_text())
+    obj["terms"] = [row]
+    record.write_text(json.dumps(obj))
+    err = assert_usage_error(capsys, "decode", "--in", str(record), "--memory", str(table),
+                             "--role", "name")
+    assert err.startswith("error: malformed record:")
+
+
+def test_a_hex_literal_wider_than_n_exits_2(capsys, tmp_path):
+    table = gen_table(capsys, tmp_path, n=81, k=20)
+    obj = json.loads(table.read_text())
+    obj["fillers"]["male"] = "2" + "0" * 20  # the top nibble holds one position at n=81
+    table.write_text(json.dumps(obj))
+    record = tmp_path / "record.json"
+    err = assert_usage_error(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                             "--out", str(record))
+    assert "does not fit in 81 bits" in err
+    assert not record.exists()
+
+
 @pytest.mark.parametrize("codec", ["ga", "classic"])
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.5"])
 def test_decode_rejects_a_non_finite_threshold(capsys, tmp_path, threshold, codec):

@@ -186,7 +186,7 @@ def test_cleanup_memory_validation():
         CleanupMemory.from_table(small_table(), "similarity")
     with pytest.raises(ValueError):  # mixed dimensions, found by the decode
         mixed = CleanupMemory(entries=(("f", b("1100")), ("g", b("110"))))
-        classic_decode(b("1000"), BladeIndex.scalar(4), mixed)
+        classic_decode(b("1000"), BladeIndex(4, 0), mixed)
     mem = CleanupMemory.from_table(small_table(), "hamming")
     assert len(mem.entries) == 3
 
@@ -198,7 +198,7 @@ def test_classic_bind_is_involutive():
     x, y = b("1100"), b("1010")
     assert x ^ y == b("0110")
     assert x ^ (x ^ y) == y
-    assert x ^ BladeIndex.scalar(4) == x
+    assert x ^ BladeIndex(4, 0) == x
 
 
 def test_majority_chunk_worked_example():
@@ -231,7 +231,7 @@ def test_majority_respects_unanimity():
 def test_hamming_basics():
     assert hamming(b("1100"), b("1100")) == 0
     assert hamming(b("1100"), b("0110")) == 2
-    assert hamming(BladeIndex.scalar(6), BladeIndex(6, 0b111111)) == 6
+    assert hamming(BladeIndex(6, 0), BladeIndex(6, 0b111111)) == 6
     with pytest.raises(ValueError):
         hamming(b("10"), b("100"))
 
@@ -266,7 +266,7 @@ def test_classic_decode_without_true_filler():
 def test_classic_decode_tie_is_flagged_lexicographic():
     mem = CleanupMemory(entries=(("hi", b("1100")), ("lo", b("1010"))))
     # unbound result 1000 is one flip from both entries
-    res = classic_decode(b("1000"), BladeIndex.scalar(4), mem)
+    res = classic_decode(b("1000"), BladeIndex(4, 0), mem)
     assert res.ambiguous
     assert res.filler == "lo"  # 1010 precedes 1100
 
@@ -281,7 +281,7 @@ def test_classic_decode_tie_is_flagged_lexicographic():
 )
 def test_mixed_dimension_memory_fails_at_decode(entries):
     with pytest.raises(DimensionMismatch):
-        classic_decode(b("1000"), BladeIndex.scalar(4), CleanupMemory(entries))
+        classic_decode(b("1000"), BladeIndex(4, 0), CleanupMemory(entries))
 
 
 def test_classic_decode_needs_hamming_memory():

@@ -143,8 +143,8 @@ def test_trace_product_beyond_a_float_power_of_two():
     with pytest.raises(ValueError, match="not finite"):
         trace_product(y * -1.0, y, 1024)
     # a tiny scalar part stays finite: 1e-300 * 2^1100 is about 1.36e31
-    tiny = Multivector(4, {BladeIndex.scalar(4): 1e-300})
-    one = Multivector.from_blade(BladeIndex.scalar(4))
+    tiny = Multivector(4, {BladeIndex(4, 0): 1e-300})
+    one = Multivector.from_blade(BladeIndex(4, 0))
     assert trace_product(tiny, one, 1100) == math.ldexp(1e-300, 1100)
     assert 1.3e31 < trace_product(tiny, one, 1100) < 1.4e31
 
@@ -176,7 +176,7 @@ def test_trace_form_stays_faithful_at_saturation():
     # literal trace at the boundary too
     n, m = 4, 2
     top = Multivector.from_blade(BladeIndex(n, 0b1111))
-    one = Multivector.from_blade(BladeIndex.scalar(n))
+    one = Multivector.from_blade(BladeIndex(n, 0))
     assert trace_product(one, top, m) == 0.0
     assert abs(np.trace(rep(one, m) @ rep(top, m))) <= 1e-12
 
@@ -190,14 +190,30 @@ def test_dimension_checks():
         Multivector(3, {BladeIndex.from_bits("10"): 1.0})
 
 
-def test_approx_eq_tolerance():
+def test_equality_tolerance():
     x = mv([(1.0, "1010")])
     y = mv([(1.0 + 5e-10, "1010")])
     z = mv([(1.0 + 5e-6, "1010")])
-    assert x.approx_eq(y)
-    assert not x.approx_eq(z)
-    assert x.approx_eq(z, tol=1e-4)
+    assert x == y
+    assert not x != y
+    assert not x == z
     assert x != z
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        lambda: Multivector(4) + 1,
+        lambda: Multivector(4) - 1,
+        lambda: BladeIndex(4, 1) ^ 1,
+        lambda: BladeIndex(4, 1) < 1,
+        lambda: SignedBlade(1, BladeIndex(4, 1)) * 2,
+    ],
+    ids=["multivector-add", "multivector-sub", "blade-xor", "blade-lt", "signed-blade-mul"],
+)
+def test_an_operator_on_a_foreign_operand_raises_type_error(expression):
+    with pytest.raises(TypeError):
+        expression()
 
 
 def test_to_pairs_is_sorted_and_round_trips():

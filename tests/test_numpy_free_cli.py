@@ -1,6 +1,10 @@
 """gen, encode and decode run without importing numpy or dataclasses; the oracle names
-load on use, and without numpy verify and bench fail as an environment error."""
+load on use, and without numpy verify and bench fail as an environment error.
 
+The CLI children run under `python -S`, so site-packages, and numpy with it, cannot
+be imported at all."""
+
+import json
 import os
 import subprocess
 import sys
@@ -54,21 +58,35 @@ def python(*argv, cwd):
 
 
 def run_cli(tmp_path, *argv):
-    proc = python("-c", CLI_PROBE, *argv, cwd=tmp_path)
+    proc = python("-S", "-c", CLI_PROBE, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "loaded:"
     return proc.stdout
 
 
-@pytest.mark.parametrize("codec", ["ga", "classic"])
-def test_gen_encode_decode_never_import_numpy(tmp_path, codec):
-    run_cli(tmp_path, "gen", "--n", "256", "--k", "64", "--seed", "3",
-            "--roles", "a,b,c,d", "--fillers", "w,x,y,z", "--out", "t.json")
+@pytest.mark.parametrize(
+    "codec, n, k",
+    [
+        pytest.param("ga", 256, 64, id="ga"),
+        pytest.param("classic", 256, 64, id="classic"),
+        pytest.param("ga", 10_000, 2_500, id="ga-n10000"),
+        pytest.param("classic", 10_000, 2_500, id="classic-n10000"),
+    ],
+)
+def test_gen_encode_decode_never_import_numpy(tmp_path, codec, n, k):
+    run_cli(tmp_path, "gen", "--n", str(n), "--k", str(k), "--seed", "3",
+            "--roles", "a,b,c,d", "--fillers", "s,t,u,v,w,x,y,z", "--out", "t.json")
+    options = ["--weights", "1,-2,0.5,3"] if codec == "ga" else ["--seed", "4"]
     run_cli(tmp_path, "encode", "--in", "t.json", "--codec", codec,
-            "--pairs", "a=w,b=x,c=y,d=z", "--out", "r.json")
-    out = run_cli(tmp_path, "decode", "--in", "r.json", "--memory", "t.json",
-                  "--role", "c")
-    assert out.startswith("role=c filler=y ")
+            "--pairs", "a=x,b=s,c=z,d=u", *options, "--out", "r.json")
+    for role, filler in zip("abcd", "xszu"):
+        out = run_cli(tmp_path, "decode", "--in", "r.json", "--memory", "t.json",
+                      "--role", role)
+        assert out.startswith(f"role={role} filler={filler} ")
+    if codec == "ga":  # each of the other three pairs leaves one term behind
+        report = json.loads(run_cli(tmp_path, "decode", "--in", "r.json",
+                                    "--memory", "t.json", "--role", "b", "--json"))
+        assert report["residual_terms"] == 3
 
 
 def test_numpy_backed_exports_resolve_on_first_use(tmp_path):
@@ -78,7 +96,7 @@ def test_numpy_backed_exports_resolve_on_first_use(tmp_path):
 
 @pytest.mark.parametrize("argv", [["verify"], ["bench", "--n", "64"]])
 def test_numpy_backed_commands_without_numpy_exit_2(tmp_path, argv):
-    proc = python("-c", NO_NUMPY_PROBE, *argv, cwd=tmp_path)
+    proc = python("-S", "-c", NO_NUMPY_PROBE, *argv, cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
