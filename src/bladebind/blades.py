@@ -84,9 +84,22 @@ class BladeIndex:
             raise ValueError(
                 f"value {_shorten(f'{value:#x}')} does not fit in {_shorten(str(n))} bits"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_below_mask", None)
+        _set_n(self, n)
+        _set_value(self, value)
+        _set_below_mask(self, None)
+
+    @classmethod
+    def _trusted(cls, n: int, value: int) -> "BladeIndex":
+        """Internal constructor for a value the caller knows fits in n >= 1 bits.
+
+        No range check: an XOR of two n-bit values, or a vote over them,
+        stays in range.
+        """
+        self = object.__new__(cls)
+        _set_n(self, n)
+        _set_value(self, value)
+        _set_below_mask(self, None)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("BladeIndex is immutable")
@@ -137,7 +150,7 @@ class BladeIndex:
         if not isinstance(other, BladeIndex):
             return NotImplemented
         _check_dims(self, other)
-        return BladeIndex(self.n, self.value ^ other.value)
+        return BladeIndex._trusted(self.n, self.value ^ other.value)
 
     def below_parity_mask(self) -> int:
         """Int whose machine bit j holds the parity of this blade's bits below j.
@@ -148,7 +161,7 @@ class BladeIndex:
         mask = self._below_mask
         if mask is None:
             mask = _prefix_parity(self.value, self.n)
-            object.__setattr__(self, "_below_mask", mask)
+            _set_below_mask(self, mask)
         return mask
 
     # --- plumbing ---------------------------------------------------------
@@ -176,6 +189,13 @@ class BladeIndex:
         )
 
 
+# The slot descriptors' setters write a field past __setattr__'s refusal,
+# without the generic attribute lookup of object.__setattr__.
+_set_n = BladeIndex.n.__set__
+_set_value = BladeIndex.value.__set__
+_set_below_mask = BladeIndex._below_mask.__set__
+
+
 class SignedBlade:
     """A blade with an explicit sign in {+1, -1}.  Immutable after construction.
 
@@ -188,8 +208,19 @@ class SignedBlade:
     def __init__(self, sign: int, index: BladeIndex):
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "index", index)
+        _set_sign(self, sign)
+        _set_index(self, index)
+
+    @classmethod
+    def _trusted(cls, sign: int, index: BladeIndex) -> "SignedBlade":
+        """Internal constructor for a sign the caller knows is the int +1 or -1.
+
+        A product of such ints is one, so `geometric_product` needs no check.
+        """
+        self = object.__new__(cls)
+        _set_sign(self, sign)
+        _set_index(self, index)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("SignedBlade is immutable")
@@ -215,6 +246,10 @@ class SignedBlade:
     def __repr__(self) -> str:
         mark = "+" if self.sign > 0 else "-"
         return f"SignedBlade({mark}{format_blade(self.index)})"
+
+
+_set_sign = SignedBlade.sign.__set__
+_set_index = SignedBlade.index.__set__
 
 
 # --- operations -------------------------------------------------------------
@@ -252,8 +287,9 @@ def _masked_sign(b: int, mask: int) -> int:
 
 def geometric_product(a: SignedBlade, b: SignedBlade) -> SignedBlade:
     """Signed blade product: XOR of indexes, signs multiplied through."""
-    s = a.sign * b.sign * product_sign(a.index, b.index)
-    return SignedBlade(s, a.index ^ b.index)
+    index = a.index ^ b.index  # checks the dimensions
+    s = a.sign * b.sign * _masked_sign(b.index.value, a.index.below_parity_mask())
+    return SignedBlade._trusted(s, index)
 
 
 def blade_inverse(a: BladeIndex) -> SignedBlade:

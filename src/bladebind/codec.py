@@ -17,8 +17,8 @@ Two interchangeable codings of the same record abstraction:
   The vote is bit-sliced over the int bit strings: per-position counts
   are kept as a few big-int counters (counters[j] holds bit j of every
   count), added to by XOR/AND ripples and compared against floor(m/2)
-  with bitwise ops, so it needs no numpy and no per-position loop
-  except one coin per exact tie.
+  with bitwise ops, so it needs no numpy and no per-position loop; the
+  coins for exact ties come from one batched draw.
 
 Symbol tables draw roles over all nonzero n-bit strings and fillers
 over nonzero k-bit prefixes (remaining positions zero), so unbinding
@@ -169,7 +169,7 @@ class SymbolTable(_JsonFile):
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolTable":
         try:
-            n = _json_value(obj["n"], (int,), "n")
+            n = _json_dimension(obj["n"])
             k = _json_value(obj["k"], (int,), "k")
             roles = {name: parse_blade(lit, n) for name, lit in obj["roles"].items()}
             fillers = {
@@ -186,6 +186,14 @@ def _json_value(value, types: tuple, what: str):
         names = " or ".join(t.__name__ for t in types)
         raise TypeError(f"{what} must be a JSON {names}, got {_shorten(repr(value))}")
     return value
+
+
+def _json_dimension(value) -> int:
+    """A file's n: a JSON int of at least 1, checked before any literal is read."""
+    n = _json_value(value, (int,), "n")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {_shorten(str(n))}")
+    return n
 
 
 def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTable:
@@ -261,7 +269,7 @@ class EncodedRecord(_JsonFile):
     def from_json(cls, obj: dict) -> "EncodedRecord":
         try:
             codec = obj["codec"]
-            n = _json_value(obj["n"], (int,), "n")
+            n = _json_dimension(obj["n"])
             if codec == GA:
                 try:
                     terms = [
@@ -435,16 +443,29 @@ def majority_chunk(items, seed: int) -> BladeIndex:
             equal &= ~count_bit
     if m % 2 == 0 and equal:
         above |= _coin_flips(equal, n, seed)
-    return BladeIndex(n, above)
+    # every item has n bits, so the vote does too
+    return BladeIndex._trusted(n, above)
+
+
+# byte -> "1" if its top bit is set, else "0"
+_TOP_BIT_DIGIT = bytes(b"01"[byte >> 7] for byte in range(256))
 
 
 def _coin_flips(ties: int, n: int, seed: int) -> int:
-    """One seeded coin per set bit of ties, drawn from position 1 onwards."""
-    draw = random.Random(seed).getrandbits
+    """One seeded coin per set bit of ties, drawn from position 1 onwards.
+
+    The coin stream is that of getrandbits(1) called once per tie: such
+    a call returns the top bit of one 32-bit Mersenne Twister output,
+    and one getrandbits(32 * t) call returns the next t outputs with the
+    first in its lowest 32 bits.  So coin j is the top bit of byte
+    4j + 3 of its little-endian bytes, read in one pass.
+    """
     gaps = format(ties, f"0{n}b").split("1")
-    digits = [""] * (2 * len(gaps) - 1)
+    t = len(gaps) - 1
+    words = random.Random(seed).getrandbits(32 * t).to_bytes(4 * t, "little")
+    digits = [""] * (2 * t + 1)
     digits[::2] = gaps
-    digits[1::2] = ["01"[draw(1)] for _ in range(len(gaps) - 1)]
+    digits[1::2] = words[3::4].translate(_TOP_BIT_DIGIT).decode()
     return int("".join(digits), 2)
 
 
@@ -467,21 +488,28 @@ def classic_decode(
     """XOR the role back out and return the nearest memory entry.
 
     Ties go to the lexicographically smallest blade and are flagged.
+    The distance is `hamming` written out in the loop: one XOR and one
+    popcount per entry, with no call.
     """
     if not memory.entries:
         raise ValueError("clean-up memory is empty")
     unbound = record_bits ^ role
-    best = None
+    n, u = unbound.n, unbound.value
+    best_d = n + 1  # farther than any entry
     ambiguous = False
     for name, blade in memory.entries:
-        d = hamming(unbound, blade)
-        if best is None or d < best[0] or (d == best[0] and blade.value < best[2].value):
-            ambiguous = best is not None and d == best[0]
-            best = (d, name, blade)
-        elif d == best[0]:
+        if blade.n != n:
+            _check_dims(unbound, blade)
+        d = (u ^ blade.value).bit_count()
+        if d < best_d:
+            best_d, best = d, (name, blade)
+            ambiguous = False
+        elif d == best_d:
             ambiguous = True
+            if blade.value < best[1].value:
+                best = (name, blade)
     return ClassicDecodeResult(
-        filler=best[1], blade=best[2], distance=best[0], ambiguous=ambiguous
+        filler=best[0], blade=best[1], distance=best_d, ambiguous=ambiguous
     )
 
 

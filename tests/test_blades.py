@@ -185,6 +185,31 @@ def test_blade_index_is_immutable():
         x.value = 3
 
 
+@pytest.mark.parametrize("n, value", [(1, 1), (4, 0b1010), (64, 2**64 - 1), (100, 3 << 97)])
+def test_trusted_blade_index_is_the_checked_one(n, value):
+    fast, checked = BladeIndex._trusted(n, value), BladeIndex(n, value)
+    assert fast == checked and hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+    assert fast.below_parity_mask() == checked.below_parity_mask()
+    for name in ("n", "value", "_below_mask"):
+        with pytest.raises(AttributeError):
+            setattr(fast, name, 0)
+    assert (fast.n, fast.value) == (n, value)
+
+
+def test_trusted_signed_blade_is_the_checked_one():
+    for sign in (1, -1):
+        fast, checked = SignedBlade._trusted(sign, b("0110")), sb(sign, "0110")
+        assert fast == checked and hash(fast) == hash(checked)
+        assert repr(fast) == repr(checked)
+        with pytest.raises(AttributeError):
+            fast.sign = -sign
+    # the product builds through the trusted path and still checks dimensions
+    assert type(geometric_product(sb(-1, "1100"), sb(-1, "0110")).sign) is int
+    with pytest.raises(DimensionMismatch):
+        geometric_product(sb(1, "10"), sb(1, "100"))
+
+
 def test_signed_blade_sign_domain():
     for sign in (0, 2, True, 1.0, -1.0):
         with pytest.raises(ValueError):

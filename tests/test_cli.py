@@ -491,6 +491,28 @@ def test_huge_dimensions_are_cut_in_error_text(capsys, tmp_path, case):
     assert len(err.encode()) <= 140
 
 
+@pytest.mark.parametrize("case", ["table-empty-literals", "table-hex-literal", "classic-record"])
+def test_a_zero_dimension_file_is_reported_by_its_dimension(capsys, tmp_path, case):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--codec", "classic",
+                   "--pairs", "name=Pat", "--out", str(record))
+    assert rc == 0
+    commands = [("decode", "--in", str(record), "--memory", str(table), "--role", "name")]
+    if case == "classic-record":
+        record.write_text(json.dumps({"codec": "classic", "n": 0, "bits": ""}))
+    else:
+        literal = "" if case == "table-empty-literals" else "0123456789abcdef"
+        table.write_text(json.dumps(
+            {"n": 0, "k": 0, "roles": {"name": literal}, "fillers": {"Pat": literal}}
+        ))
+        commands.append(("encode", "--in", str(table), "--pairs", "name=Pat",
+                         "--out", str(tmp_path / "again.json")))
+    for argv in commands:
+        err = assert_usage_error(capsys, *argv)
+        assert err == "error: dimension must be >= 1, got 0\n"
+
+
 def test_missing_and_malformed_files(capsys, tmp_path):
     rc, _, err = run(capsys, "encode", "--in", str(tmp_path / "absent.json"),
                      "--pairs", "a=b", "--out", str(tmp_path / "r.json"))

@@ -9,6 +9,7 @@ import pytest
 from bladebind.blades import BladeIndex, DimensionMismatch, product_sign
 from bladebind.codec import (
     CleanupMemory,
+    _coin_flips,
     EncodedRecord,
     SymbolTable,
     classic_decode,
@@ -228,6 +229,66 @@ def test_majority_respects_unanimity():
         assert majority_chunk([x, x, x], seed=1) == x
 
 
+def reference_coin_flips(ties, n, seed):
+    """One getrandbits(1) per tied position, in position order from 1."""
+    draw = random.Random(seed).getrandbits
+    coins = 0
+    for position in range(1, n + 1):
+        bit = 1 << (n - position)
+        if ties & bit and draw(1):
+            coins |= bit
+    return coins
+
+
+def tie_masks(n, rng):
+    """All-tie, single-tie and random masks, with tie counts around 8 and 32."""
+    yield (1 << n) - 1
+    yield 1 << (n - 1)
+    yield 1
+    yield 1 << rng.randrange(n)
+    for count in (7, 8, 9, 31, 32, 33):
+        if count <= n:
+            yield sum(1 << p for p in rng.sample(range(n), count))
+    yield rng.getrandbits(n) or 1
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1024, 10_000])
+def test_coin_flips_match_one_draw_per_tie(n):
+    rng = random.Random(n)
+    for ties in tie_masks(n, rng):
+        for seed in (0, 1, rng.getrandbits(64)):
+            assert _coin_flips(ties, n, seed) == reference_coin_flips(ties, n, seed)
+
+
+def reference_majority(items, seed):
+    """Per-position count against m/2, with reference_coin_flips on exact ties."""
+    n, m = items[0].n, len(items)
+    above = ties = 0
+    for bit in range(n):
+        count = sum(x.value >> bit & 1 for x in items)
+        if 2 * count > m:
+            above |= 1 << bit
+        elif 2 * count == m:
+            ties |= 1 << bit
+    return above | reference_coin_flips(ties, n, seed)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 1024, 10_000])
+def test_majority_chunk_matches_a_per_position_vote(n):
+    rng = random.Random(n)
+    for ties in tie_masks(n, rng):
+        # two items that differ exactly on the tie mask, plus agreeing pairs
+        x = rng.getrandbits(n)
+        base = [BladeIndex(n, x), BladeIndex(n, x ^ ties)]
+        for extra in (0, 2, 4):
+            items = base + [BladeIndex(n, rng.getrandbits(n)) for _ in range(extra)]
+            for seed in (0, 7):
+                vote = majority_chunk(items, seed)
+                expected = BladeIndex(n, reference_majority(items, seed))
+                assert vote == expected and hash(vote) == hash(expected)
+                assert repr(vote) == repr(expected)
+
+
 def test_hamming_basics():
     assert hamming(b("1100"), b("1100")) == 0
     assert hamming(b("1100"), b("0110")) == 2
@@ -269,6 +330,32 @@ def test_classic_decode_tie_is_flagged_lexicographic():
     res = classic_decode(b("1000"), BladeIndex(4, 0), mem)
     assert res.ambiguous
     assert res.filler == "lo"  # 1010 precedes 1100
+
+
+@pytest.mark.parametrize("n", [1024, 10_000])
+def test_classic_decode_matches_a_full_distance_scan(n):
+    rng = random.Random(n)
+    role = BladeIndex(n, rng.getrandbits(n))
+    unbound = rng.getrandbits(n)
+    record = BladeIndex(n, unbound) ^ role
+
+    def near(flips):
+        return BladeIndex(n, unbound ^ sum(1 << p for p in rng.sample(range(n), flips)))
+
+    far = [BladeIndex(n, rng.getrandbits(n)) for _ in range(40)]
+    twins = sorted([near(5), near(5)], key=lambda blade: blade.value)
+    # the 5-flip twins tie for nearest, unless a 3-flip entry beats both
+    for third, winner, ambiguous in ((near(9), twins[0], True), (near(3), None, False)):
+        # the larger twin first, among entries in no blade order
+        blades = [twins[1], *far[:20], third, twins[0], *far[20:]]
+        memory = CleanupMemory({f"f{i}": blade for i, blade in enumerate(blades)}.items())
+        distances = [(hamming(record ^ role, blade), blade.value, name)
+                     for name, blade in memory.entries]
+        d, value, name = min(distances)
+        res = classic_decode(record, role, memory)
+        assert (res.filler, res.blade.value, res.distance) == (name, value, d)
+        assert res.blade == (winner or third) and res.ambiguous == ambiguous
+        assert res.ambiguous == ([e[0] for e in distances].count(d) > 1)
 
 
 @pytest.mark.parametrize(
