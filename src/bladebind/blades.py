@@ -17,8 +17,9 @@ how many generator transpositions are needed to merge the two factors
 into sorted order.  The parity of D takes a handful of word-parallel
 big-int operations on the raw ints: a prefix-parity scan of the left
 factor (`_prefix_parity`), then one AND and one popcount against the
-right factor (`_masked_sign`).  `product_sign` applies that rule to two
-`BladeIndex` objects, and `Multivector.gp` to raw int keys;
+right factor (`_masked_sign`).  `Multivector.gp` applies that rule to
+raw int keys; `product_sign` applies it to two `BladeIndex` objects,
+popcounting only from the right factor's lowest set bit up.
 `bladebind.reference` keeps slow independent implementations for
 differential testing.
 """
@@ -73,9 +74,13 @@ class BladeIndex:
     Attributes:
         n: number of generator positions (n >= 1).
         value: the bits packed into an int, position i at machine bit n - i.
+
+    Two product caches start empty and fill on first use: the
+    prefix-parity mask (as a left factor) and the machine bit where the
+    sign's popcount starts (as a right factor, see `_popcount_start`).
     """
 
-    __slots__ = ("n", "value", "_below_mask")
+    __slots__ = ("n", "value", "_below_mask", "_low")
 
     def __init__(self, n: int, value: int):
         if n < 1:
@@ -87,6 +92,7 @@ class BladeIndex:
         _set_n(self, n)
         _set_value(self, value)
         _set_below_mask(self, None)
+        _set_low(self, None)
 
     @classmethod
     def _trusted(cls, n: int, value: int) -> "BladeIndex":
@@ -99,6 +105,7 @@ class BladeIndex:
         _set_n(self, n)
         _set_value(self, value)
         _set_below_mask(self, None)
+        _set_low(self, None)
         return self
 
     def __setattr__(self, name, val):
@@ -194,6 +201,7 @@ class BladeIndex:
 _set_n = BladeIndex.n.__set__
 _set_value = BladeIndex.value.__set__
 _set_below_mask = BladeIndex._below_mask.__set__
+_set_low = BladeIndex._low.__set__
 
 
 class SignedBlade:
@@ -215,7 +223,7 @@ class SignedBlade:
     def _trusted(cls, sign: int, index: BladeIndex) -> "SignedBlade":
         """Internal constructor for a sign the caller knows is the int +1 or -1.
 
-        A product of such ints is one, so `geometric_product` needs no check.
+        The negation of such an int is one, so `__neg__` needs no check.
         """
         self = object.__new__(cls)
         _set_sign(self, sign)
@@ -241,7 +249,7 @@ class SignedBlade:
         return geometric_product(self, other)
 
     def __neg__(self) -> "SignedBlade":
-        return SignedBlade(-self.sign, self.index)
+        return SignedBlade._trusted(-self.sign, self.index)
 
     def __repr__(self) -> str:
         mark = "+" if self.sign > 0 else "-"
@@ -262,9 +270,38 @@ def product_sign(a: BladeIndex, b: BladeIndex) -> int:
     in b and bit l set in a: the number of times a generator of the right
     factor jumps over a generator of the left factor while merging the
     two sorted generator lists.
+
+    D's parity is that of b AND a's prefix-parity mask.  That AND has no
+    set bit below b's lowest set bit, so the popcount can start there: a
+    filler, zero in its lowest n - k machine bits, costs k bits of
+    popcount rather than n.  a's mask and b's start are each found once
+    per blade and cached.
     """
-    _check_dims(a, b)
-    return _masked_sign(b.value, a.below_parity_mask())
+    if a.n != b.n:
+        _check_dims(a, b)
+    mask = a._below_mask
+    if mask is None:
+        mask = a.below_parity_mask()
+    low = b._low
+    if low is None:
+        low = _popcount_start(b.value, b.n)
+        _set_low(b, low)
+    bits = b.value & mask
+    if low:
+        bits >>= low
+    return -1 if bits.bit_count() & 1 else 1
+
+
+def _popcount_start(value: int, n: int) -> int:
+    """Machine bit where `product_sign` starts its popcount for right factor value.
+
+    The lowest set bit, when at least a third of the n bits lie below
+    it; else 0 (so 0 for the scalar).  The shift that skips those bits
+    copies the ones above, and costs more than it saves for a shorter
+    skip (bit 0 of a random blade is set half the time).
+    """
+    low = (value & -value).bit_length() - 1
+    return low if 3 * low >= n else 0
 
 
 def _prefix_parity(value: int, n: int) -> int:
@@ -286,10 +323,22 @@ def _masked_sign(b: int, mask: int) -> int:
 
 
 def geometric_product(a: SignedBlade, b: SignedBlade) -> SignedBlade:
-    """Signed blade product: XOR of indexes, signs multiplied through."""
-    index = a.index ^ b.index  # checks the dimensions
-    s = a.sign * b.sign * _masked_sign(b.index.value, a.index.below_parity_mask())
-    return SignedBlade._trusted(s, index)
+    """Signed blade product: XOR of indexes, signs multiplied through.
+
+    Both results are built through the slot setters: the XOR of two
+    n-bit values fits in n bits and a product of +-1 ints is one.
+    """
+    ai, bi = a.index, b.index
+    sign = a.sign * b.sign * product_sign(ai, bi)  # checks the dimensions
+    index = object.__new__(BladeIndex)
+    _set_n(index, ai.n)
+    _set_value(index, ai.value ^ bi.value)
+    _set_below_mask(index, None)
+    _set_low(index, None)
+    product = object.__new__(SignedBlade)
+    _set_sign(product, sign)
+    _set_index(product, index)
+    return product
 
 
 def blade_inverse(a: BladeIndex) -> SignedBlade:

@@ -16,9 +16,10 @@ Two interchangeable codings of the same record abstraction:
   vote with seeded tie flips, clean-up is nearest Hamming distance.
   The vote is bit-sliced over the int bit strings: per-position counts
   are kept as a few big-int counters (counters[j] holds bit j of every
-  count), added to by XOR/AND ripples and compared against floor(m/2)
-  with bitwise ops, so it needs no numpy and no per-position loop; the
-  coins for exact ties come from one batched draw.
+  count), summed by a carry-save tree of XOR/AND/OR full adders and
+  compared against floor(m/2) with bitwise ops, so it needs no numpy
+  and no per-position loop; the coins for exact ties come from one
+  batched draw.
 
 Symbol tables draw roles over all nonzero n-bit strings and fillers
 over nonzero k-bit prefixes (remaining positions zero), so unbinding
@@ -320,10 +321,11 @@ def ga_encode(table: SymbolTable, pairs, weights=None) -> EncodedRecord:
     weights = [float(w) for w in weights]
     if len(weights) != len(pairs):
         raise ValueError(f"{len(pairs)} pairs but {len(weights)} weights")
+    roles, fillers = table.roles, table.fillers
     terms = []
     for (role_name, filler_name), w in zip(pairs, weights):
-        role = _resolve(table.roles, role_name, "role")
-        filler = _resolve(table.fillers, filler_name, "filler")
+        role = roles.get(role_name) or _resolve(roles, role_name, "role")
+        filler = fillers.get(filler_name) or _resolve(fillers, filler_name, "filler")
         terms.append((role.value ^ filler.value, w * product_sign(role, filler)))
     return EncodedRecord(GA, payload=Multivector._trusted(table.n, _add_terms({}, terms)))
 
@@ -406,29 +408,38 @@ def majority_chunk(items, seed: int) -> BladeIndex:
     """Per-position majority vote; exact ties resolved by a seeded coin.
 
     The per-position counts are kept bit-sliced: counters[j] holds bit j
-    of every position's count, so adding an item is a ripple of XOR/AND
-    over whole bit strings.  Comparing the counts against floor(m/2)
-    from the top counter down gives the "above" and "equal" masks.  An
-    exact tie (only possible for even m) takes one coin from
-    random.Random(seed) per tied position, in position order from 1.
+    of every position's count.  They come out of a carry-save adder
+    tree over whole bit strings: each full adder takes three values of
+    one weight and gives their sum bit at that weight and their carry
+    one weight up; two leftover values take a half adder, and the one
+    value left at a weight is that counter.  Comparing the counts
+    against floor(m/2) from the top counter down gives the "above" and
+    "equal" masks.  An exact tie (only possible for even m) takes one
+    coin from random.Random(seed) per tied position, in position order
+    from 1.
     """
     items = list(items)
     if not items:
         raise ValueError("majority vote over an empty list")
     n = items[0].n
-    counters: list[int] = []
     for b in items:
         if b.n != n:
             raise ValueError(f"mixed dimensions in majority vote: {b.n} vs {n}")
-        carry = b.value
-        for j, count_bit in enumerate(counters):
-            counters[j] = count_bit ^ carry
-            carry &= count_bit
-            if not carry:
-                break
-        else:
-            if carry:
-                counters.append(carry)
+    counters: list[int] = []
+    column = [b.value for b in items]
+    while column:
+        carries = []
+        while len(column) > 2:
+            a, b, c = column.pop(), column.pop(), column.pop()
+            a_xor_b = a ^ b
+            column.append(a_xor_b ^ c)
+            carries.append((a & b) | (a_xor_b & c))
+        if len(column) == 2:
+            a, b = column
+            column = [a ^ b]
+            carries.append(a & b)
+        counters.append(column[0])
+        column = carries
     m = len(items)
     half = m // 2
     above = 0

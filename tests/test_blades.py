@@ -14,6 +14,7 @@ from bladebind.blades import (
     product_sign,
     reversion_sign,
 )
+from bladebind.codec import gen_symbols
 from bladebind.reference import (
     product_by_transposition_sort,
     product_sign_slow,
@@ -89,6 +90,51 @@ def test_full_product_matches_transposition_sort():
         got = geometric_product(SignedBlade(1, x), SignedBlade(1, y))
         assert got == product_by_transposition_sort(x, y)
         assert product_sign(x, y) == sign_by_crossing_count(x, y)
+
+
+def low_zero_run_factors(n, k):
+    """Right factors with long runs of low zero bits: the fillers of a
+    generated table (zero in their lowest n - k machine bits), plus the
+    scalar, e_n, the single top generator e_1 and the pseudoscalar."""
+    table = gen_symbols(
+        n + k, n, k, [f"r{i}" for i in range(3)], [f"f{i}" for i in range(min(3, 2**k - 1))]
+    )
+    edges = [0, 1, 1 << (n - 1), (1 << n) - 1]
+    lefts = [r.value for r in table.roles.values()] + edges
+    rights = [f.value for f in table.fillers.values()] + edges
+    return lefts, rights
+
+
+@pytest.mark.parametrize("n", [64, 1024, 10_000])
+@pytest.mark.parametrize(
+    "k_of_n", [lambda n: 1, lambda n: n // 4, lambda n: n], ids=["k=1", "k=n/4", "k=n"]
+)
+def test_sign_read_from_the_lowest_generator_matches_the_references(n, k_of_n):
+    k = k_of_n(n)
+    lefts, rights = low_zero_run_factors(n, k)
+    for av in lefts:
+        for bv in rights:
+            x, y = BladeIndex(n, av), BladeIndex(n, bv)
+            expected = sign_by_crossing_count(x, y)
+            if n <= 64:
+                assert expected == product_sign_slow(x, y)
+                full = product_by_transposition_sort(x, y)
+            else:
+                full = SignedBlade(expected, BladeIndex(n, av ^ bv))
+            # once with the right factor's lowest bit uncached, once cached
+            for _ in range(2):
+                assert product_sign(x, y) == expected
+                # the popcount skips only zero bits, and all n - k
+                # off-support bits of a filler once they are a third of n
+                assert bv & ((1 << y._low) - 1) == 0
+                if bv >> (n - k) << (n - k) == bv != 0 and 3 * (n - k) >= n:
+                    assert y._low >= n - k
+                for sign in (1, -1):
+                    got = geometric_product(SignedBlade(sign, x), SignedBlade(1, y))
+                    assert got == SignedBlade(sign * full.sign, full.index)
+                fresh = BladeIndex(n, bv)
+                assert geometric_product(SignedBlade(1, x), SignedBlade(1, fresh)) == full
+                assert fresh._low is not None
 
 
 def test_below_parity_mask_semantics():
@@ -191,7 +237,13 @@ def test_trusted_blade_index_is_the_checked_one(n, value):
     assert fast == checked and hash(fast) == hash(checked)
     assert repr(fast) == repr(checked)
     assert fast.below_parity_mask() == checked.below_parity_mask()
-    for name in ("n", "value", "_below_mask"):
+    # product_sign caches the right factor's lowest set bit; values stay equal
+    assert fast._low is None and checked._low is None
+    assert product_sign(fast, fast) == product_sign(checked, checked)
+    assert fast._low == checked._low is not None
+    assert fast == checked and hash(fast) == hash(checked)
+    assert repr(fast) == repr(checked)
+    for name in ("n", "value", "_below_mask", "_low"):
         with pytest.raises(AttributeError):
             setattr(fast, name, 0)
     assert (fast.n, fast.value) == (n, value)

@@ -289,6 +289,18 @@ def test_majority_chunk_matches_a_per_position_vote(n):
                 assert repr(vote) == repr(expected)
 
 
+@pytest.mark.parametrize("n", [1, 64, 1024])
+def test_majority_chunk_matches_a_per_position_vote_for_every_adder_shape(n):
+    # item counts giving every shape of the carry-save tree: one value,
+    # a lone half adder, a lone full adder, leftovers of one and two
+    # values per weight, and counts just around powers of two
+    rng = random.Random(n + 1)
+    for m in (1, 2, 3, 4, 5, 31, 32, 33, 64):
+        items = [BladeIndex(n, rng.getrandbits(n)) for _ in range(m)]
+        for seed in (0, m):
+            assert majority_chunk(items, seed) == BladeIndex(n, reference_majority(items, seed))
+
+
 def test_hamming_basics():
     assert hamming(b("1100"), b("1100")) == 0
     assert hamming(b("1100"), b("0110")) == 2
