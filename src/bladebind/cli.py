@@ -1,8 +1,10 @@
 """Command-line front end: gen, encode, decode, verify, bench.
 
 Exit codes: 0 success, 1 verification or benchmark assertion failure,
-2 usage or environment error (bad flags, malformed files, unknown names,
-a size too large to draw from, numpy missing for verify or bench).
+2 usage or environment error (bad flags, a negative --seed, malformed
+files, unknown names, a size too large to draw from, numpy missing for
+verify or bench), 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports for `yes | head`).
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
+from .blades import _shorten
 from .codec import (
     CLASSIC,
     GA,
@@ -197,7 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # random.Random seeds with abs(seed), so -7 would repeat 7's output
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {_shorten(str(args.seed))}")
+        code = args.handler(args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here
+        return code
+    except BrokenPipeError:
+        # the reader has gone; send what is left to devnull so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OverflowError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ Two interchangeable codings of the same record abstraction:
   count), summed by a carry-save tree of XOR/AND/OR full adders and
   compared against floor(m/2) with bitwise ops, so it needs no numpy
   and no per-position loop; the coins for exact ties come from one
-  batched draw.
+  batched draw and are set into the tie positions by one bytes % pass.
 
 Symbol tables draw roles over all nonzero n-bit strings and fillers
 over nonzero k-bit prefixes (remaining positions zero), so unbinding
@@ -416,7 +416,8 @@ def majority_chunk(items, seed: int) -> BladeIndex:
     against floor(m/2) from the top counter down gives the "above" and
     "equal" masks.  An exact tie (only possible for even m) takes one
     coin from random.Random(seed) per tied position, in position order
-    from 1.
+    from 1; `_coin_flips` draws them all at once and fills them into the
+    tie mask's digits in one pass.
     """
     items = list(items)
     if not items:
@@ -469,24 +470,29 @@ def _coin_flips(ties: int, n: int, seed: int) -> int:
     a call returns the top bit of one 32-bit Mersenne Twister output,
     and one getrandbits(32 * t) call returns the next t outputs with the
     first in its lowest 32 bits.  So coin j is the top bit of byte
-    4j + 3 of its little-endian bytes, read in one pass.
+    4j + 3 of its little-endian bytes, read in one pass.  The ties'
+    binary digits, with each 1 turned into %c, are the template that
+    one bytes % pass fills with those coins in position order; the
+    template holds only 0s besides, so nothing else is a conversion.
     """
-    gaps = format(ties, f"0{n}b").split("1")
-    t = len(gaps) - 1
+    template = format(ties, f"0{n}b").encode().replace(b"1", b"%c")
+    t = ties.bit_count()
     words = random.Random(seed).getrandbits(32 * t).to_bytes(4 * t, "little")
-    digits = [""] * (2 * t + 1)
-    digits[::2] = gaps
-    digits[1::2] = words[3::4].translate(_TOP_BIT_DIGIT).decode()
-    return int("".join(digits), 2)
+    return int(template % tuple(words[3::4].translate(_TOP_BIT_DIGIT)), 2)
 
 
 def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
-    """Bind each pair by XOR and chunk by majority vote."""
+    """Bind each pair by XOR and chunk by majority vote.
+
+    The table holds every symbol at its dimension, so each bound item is
+    built unchecked; the vote is still `majority_chunk`'s.
+    """
+    roles, fillers, n = table.roles, table.fillers, table.n
     bound = []
     for role_name, filler_name in pairs:
-        role = _resolve(table.roles, role_name, "role")
-        filler = _resolve(table.fillers, filler_name, "filler")
-        bound.append(role ^ filler)
+        role = roles.get(role_name) or _resolve(roles, role_name, "role")
+        filler = fillers.get(filler_name) or _resolve(fillers, filler_name, "filler")
+        bound.append(BladeIndex._trusted(n, role.value ^ filler.value))
     return EncodedRecord(CLASSIC, bits=majority_chunk(bound, seed))
 
 

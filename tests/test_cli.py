@@ -622,6 +622,41 @@ def test_a_huge_size_is_one_short_error_line(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["gen", "encode", "bench"])
+def test_a_negative_seed_is_a_usage_error(capsys, tmp_path, command):
+    # Random seeds with abs(seed): -1 would silently repeat seed 1
+    out = tmp_path / "out.json"
+    if command == "gen":
+        argv = ["gen", "--n", "16", "--k", "4", "--out", str(out)]
+    elif command == "encode":
+        table = gen_table(capsys, tmp_path)
+        argv = ["encode", "--in", str(table), "--codec", "classic",
+                "--pairs", "name=Pat", "--out", str(out)]
+    else:
+        argv = ["bench", "--n", "64"]
+    err = assert_usage_error(capsys, *argv, "--seed", "-1")
+    assert err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path):
+    # the reader of a pipe left before the child wrote, as in `... | head`:
+    # the shell's SIGPIPE status, and nothing on stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bladebind", "verify"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -325,6 +325,38 @@ def test_classic_single_pair_round_trip():
     assert res.filler == "Pat" and res.distance == 0 and not res.ambiguous
 
 
+@pytest.mark.parametrize("n, k, m", [(10_000, 2500, 32), (10_000, 2500, 31), (1024, 256, 8)])
+def test_classic_encode_matches_the_checked_bind_route(n, k, m):
+    # classic_encode binds without the checks of ^; the public route is
+    # the checked XOR of each pair, then the same vote
+    roles = [f"r{i}" for i in range(m)]
+    fillers = [f"f{i}" for i in range(16)]
+    table = gen_symbols(n + m, n, k, roles, fillers)
+    rng = random.Random(m)
+    pairs = [(role, rng.choice(fillers)) for role in roles]
+    bound = [table.roles[r] ^ table.fillers[f] for r, f in pairs]
+    records = [classic_encode(table, pairs, seed).bits for seed in (0, 7)]
+    assert records == [majority_chunk(bound, seed) for seed in (0, 7)]
+    # an even vote has ties, so its coins tell the seeds apart
+    assert (records[0] != records[1]) == (m % 2 == 0)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("nobody", "Pat")], "unknown role 'nobody'"),
+        ([("name", "nobody")], "unknown filler 'nobody'"),
+        ([("name", "sex")], "unknown filler 'sex'"),
+        ([], "majority vote over an empty list"),
+    ],
+    ids=["unknown-role", "unknown-filler", "role-as-filler", "no-pairs"],
+)
+def test_classic_encode_rejects_unknown_names_and_no_pairs(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        classic_encode(small_table(), pairs)
+    assert str(exc.value) == message
+
+
 def test_classic_decode_without_true_filler():
     # nearest wrong entry comes back, with its distance
     t = small_table()
