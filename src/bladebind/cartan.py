@@ -1,97 +1,109 @@
-"""Complex matrix model of the blade algebra via Kronecker products.
+"""Kronecker model of the blade algebra as Pauli strings, an oracle at every n.
 
-Generators are built from the three Pauli matrices: with m factors, the
-odd generator e_(2k-1) is sigma1 on the m-k leading factors, sigma3 in
-slot k, identity below, and the even generator e_(2k) swaps the sigma3
-for sigma2.  This gives 2m anticommuting square roots of +1, so any
-algebra with n <= 2m generators embeds faithfully and the matrix side
-serves as an independent numerical oracle for the bit-level kernel.
-
-Everything is dense complex arithmetic on 2^m x 2^m arrays; m is capped
-well before memory becomes a problem.
+With m Pauli factors, the generator e_(2k-1) is sigma1 on the m-k
+leading factors, sigma3 in the next one and the identity on the k-1
+trailing ones; e_(2k) has sigma2 in place of the sigma3 (Jordan-Wigner).
+These are 2m anticommuting square roots of +1, so any algebra with
+n <= 2m generators embeds faithfully.  Kronecker products multiply slot
+by slot, so a blade is a phase i^p times m letters, the "phase plus
+letters" form of Aaronson & Gottesman: the pair (p, letters), p in 0..3
+and letters a tuple of codes, 0 for I and a for sigma_a, slot 0
+leftmost.  Nothing here shares the transposition count or the
+prefix-parity scan of `blades`, and no matrix is ever formed.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-import numpy as np
+import math
 
 from .blades import BladeIndex
 from .multivector import Multivector, _check_factors
 
-__all__ = [
-    "ORDER_CAP",
-    "pauli",
-    "generator_matrix",
-    "blade_matrix",
-    "rep",
-]
+__all__ = ["blade_string", "string_product", "rep", "product", "trace", "diagonal"]
 
-# 2^12 x 2^12 complex128 is 256 MB per matrix; anything larger is out of
-# scope for a dense oracle.
-ORDER_CAP = 12
+I, SIGMA1, SIGMA2, SIGMA3 = 0, 1, 2, 3
 
-_SIGMA = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
+# i^p, with +0.0 for each zero part so that they print as 1j, -1j, ...
+PHASES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
+
+# (a, b) -> (p, c) with sigma_a sigma_b = i^p sigma_c, from
+# sigma_a sigma_b = delta_ab I + i epsilon_abc sigma_c; with these codes c = a ^ b
+_SLOT_PRODUCT = {
+    (a, b): (0 if I in (a, b) or a == b else 1 if (b - a) % 3 == 1 else 3, a ^ b)
+    for a in range(4)
+    for b in range(4)
 }
-_ID2 = np.eye(2, dtype=complex)
-for _mat in _SIGMA.values():
-    _mat.setflags(write=False)
-_ID2.setflags(write=False)
 
 
-def pauli(which: int) -> np.ndarray:
-    """Fresh copy of sigma_1, sigma_2 or sigma_3."""
-    if which not in _SIGMA:
-        raise ValueError(f"pauli index must be 1, 2 or 3, got {which}")
-    return _SIGMA[which].copy()
+def blade_string(b: BladeIndex, m: int) -> tuple:
+    """The blade's generators multiplied in ascending order, as (phase, letters).
 
-
-def _check_order(m: int) -> None:
-    if not 1 <= m <= ORDER_CAP:
-        raise ValueError(f"factor count m must be in 1..{ORDER_CAP}, got {m}")
-
-
-@lru_cache(maxsize=None)
-def _generator(j: int, m: int) -> np.ndarray:
-    k = (j + 1) // 2
-    slot = _SIGMA[3] if j & 1 else _SIGMA[2]
-    out = np.eye(1, dtype=complex)
-    for _ in range(m - k):
-        out = np.kron(out, _SIGMA[1])
-    out = np.kron(out, slot)
-    for _ in range(k - 1):
-        out = np.kron(out, _ID2)
-    out.setflags(write=False)
-    return out
-
-
-def generator_matrix(j: int, m: int) -> np.ndarray:
-    """Matrix of the single generator e_j inside m Pauli factors."""
-    _check_order(m)
-    if not 1 <= j <= 2 * m:
-        raise ValueError(f"generator index {j} outside 1..{2 * m} for m={m}")
-    return _generator(j, m).copy()
-
-
-def blade_matrix(b: BladeIndex, m: int) -> np.ndarray:
-    """Matrix of a basis blade: product of its generators in ascending order."""
-    _check_order(m)
+    Slot p holds sigma1^c, then sigma3 if e_(2(m-p)-1) is present, then
+    sigma2 if e_(2(m-p)) is, where c counts the blade's generators of
+    index <= 2(m-p-1); one running count fills the slots right to left.
+    """
     _check_factors(b.n, m)
-    out = np.eye(1 << m, dtype=complex)
-    for j in b.positions():
-        out = out @ _generator(j, m)
-    return out
+    bits = b.bits.ljust(2 * m, "0")  # e_j is present iff bits[j - 1] == "1"
+    phase, below, letters = 0, 0, [I] * m
+    for k in range(1, m + 1):
+        letter = SIGMA1 if below & 1 else I
+        for bit, sigma in zip(bits[2 * k - 2 : 2 * k], (SIGMA3, SIGMA2)):
+            if bit == "1":
+                p, letter = _SLOT_PRODUCT[letter, sigma]
+                phase += p
+                below += 1
+        letters[m - k] = letter
+    return phase % 4, tuple(letters)
 
 
-def rep(x: Multivector, m: int) -> np.ndarray:
-    """Linear extension of blade_matrix to a whole multivector."""
-    _check_order(m)
+def string_product(s: tuple, t: tuple) -> tuple:
+    """(i^p P)(i^q Q) = i^(p+q) times the slot-by-slot product of P and Q."""
+    (phase, left), (q, right) = s, t
+    if len(left) != len(right):
+        raise ValueError(f"strings of {len(left)} and {len(right)} factors")
+    letters = []
+    for a, b in zip(left, right):
+        p, c = _SLOT_PRODUCT[a, b]
+        phase += p
+        letters.append(c)
+    return (phase + q) % 4, tuple(letters)
+
+
+def rep(x: Multivector, m: int) -> dict:
+    """Linear extension of blade_string: letters -> complex coefficient."""
     _check_factors(x.n, m)
-    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    out: dict = {}
     for idx, coeff in x.items():
-        out += coeff * blade_matrix(idx, m)
+        phase, letters = blade_string(idx, m)
+        out[letters] = coeff * PHASES[phase]
     return out
+
+
+def product(x: dict, y: dict) -> dict:
+    """Product of two representations, distributed over all term pairs."""
+    out: dict = {}
+    for left, cx in x.items():
+        for right, cy in y.items():
+            phase, letters = string_product((0, left), (0, right))
+            out[letters] = out.get(letters, 0j) + cx * cy * PHASES[phase]
+    return out
+
+
+def trace(x: dict) -> complex:
+    """2^m times the all-I coefficient (only I has a trace); OverflowError past a float."""
+    for letters, coeff in x.items():
+        if not any(letters):  # + 0j turns a -0.0 part into +0.0
+            m = len(letters)
+            return complex(math.ldexp(coeff.real, m), math.ldexp(coeff.imag, m)) + 0j
+    return 0j
+
+
+def diagonal(s: tuple) -> list:
+    """The 2^m diagonal entries of a string, row 0 first; sigma1 and sigma2 have none,
+    and sigma3 gives a -1 = i^2 where the row's bit for its slot is set."""
+    phase, letters = s
+    m = len(letters)
+    if SIGMA1 in letters or SIGMA2 in letters:
+        return [0j] * (1 << m)
+    z = sum(1 << (m - 1 - p) for p, letter in enumerate(letters) if letter == SIGMA3)
+    return [PHASES[(phase + 2 * (row & z).bit_count()) % 4] for row in range(1 << m)]

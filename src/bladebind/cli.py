@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 verification or benchmark assertion failure,
 2 usage or environment error (bad flags, a negative --seed, malformed
-files, unknown names, a size too large to draw from, numpy missing for
-verify or bench), 141 stdout closed by its reader (128 + SIGPIPE, as a
-shell reports for `yes | head`).
+files, unknown names, a size too large to draw from), 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports for `yes | head`).
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ def main(argv=None) -> int:
         # flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OverflowError, OSError, ImportError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,8 +25,8 @@ Symbol tables draw roles over all nonzero n-bit strings and fillers
 over nonzero k-bit prefixes (remaining positions zero), so unbinding
 noise lands outside the filler subspace with high probability.
 
-All randomized operations take an explicit seed and are pure functions
-of it.
+All randomized operations take an explicit seed >= 0 and are pure
+functions of it.
 """
 
 from __future__ import annotations
@@ -197,6 +197,12 @@ def _json_dimension(value) -> int:
     return n
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random seeds with abs(seed), so -7 would repeat 7's draws
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {_shorten(str(seed))}")
+
+
 def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTable:
     """Seeded random symbol table; deterministic for a given seed.
 
@@ -205,6 +211,7 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
     redrawn; running out of retries signals the dimension is too small
     for the requested number of symbols.
     """
+    _check_seed(seed)
     if not 1 <= k <= n:
         raise ValueError(f"filler bits k={_shorten(str(k))} outside 1..{_shorten(str(n))}")
     role_names = list(role_names)
@@ -419,6 +426,7 @@ def majority_chunk(items, seed: int) -> BladeIndex:
     from 1; `_coin_flips` draws them all at once and fills them into the
     tie mask's digits in one pass.
     """
+    _check_seed(seed)
     items = list(items)
     if not items:
         raise ValueError("majority vote over an empty list")

@@ -1,6 +1,6 @@
 """Slow, independent baselines for differential testing and benchmarks.
 
-Nothing here shares code with the production sign kernel.  Three routes
+Nothing here shares code with the production sign kernel.  Two routes
 to the same answer:
 
 * ``product_sign_slow``: the quadratic per-position walk, counting for
@@ -10,21 +10,18 @@ to the same answer:
   lists with a stable insertion sort, counting adjacent swaps, then
   cancels equal neighbours.  Computes the whole product, not just the
   sign, straight from the definition of the algebra.
-* ``sign_by_crossing_count``: vectorized crossing count on sorted
-  position arrays, fast enough to check large random batches.
+
+The Pauli strings of `cartan` are a third route, through a matrix model
+of the algebra rather than through generator orderings.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .blades import BladeIndex, SignedBlade, _check_dims
 
 __all__ = [
     "product_sign_slow",
     "product_by_transposition_sort",
-    "crossing_count",
-    "sign_by_crossing_count",
 ]
 
 
@@ -68,16 +65,3 @@ def product_by_transposition_sort(a: BladeIndex, b: BladeIndex) -> SignedBlade:
     sign = -1 if swaps & 1 else 1
     return SignedBlade(sign, BladeIndex.from_positions(surviving, a.n))
 
-
-def crossing_count(a_positions: np.ndarray, b_positions: np.ndarray) -> int:
-    """Number of pairs (k, l) with k a right-factor position, l a
-    left-factor position, and k < l.  Inputs must be sorted ascending."""
-    insert_at = np.searchsorted(a_positions, b_positions, side="right")
-    return int((len(a_positions) - insert_at).sum())
-
-
-def sign_by_crossing_count(a: BladeIndex, b: BladeIndex) -> int:
-    _check_dims(a, b)
-    apos = np.asarray(a.positions(), dtype=np.int64)
-    bpos = np.asarray(b.positions(), dtype=np.int64)
-    return -1 if crossing_count(apos, bpos) & 1 else 1

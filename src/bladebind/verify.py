@@ -5,9 +5,9 @@ A fixed symbol table (n=4, k=2) encodes a three-pair record
 beta=3, gamma=5, then replays every identity the record is known to
 satisfy: the signs of the bound pairs, the chunked record with its
 destructive beta/gamma collision on e_1111, the noisy decode of "name",
-the 16*alpha trace value, agreement with the Pauli-matrix oracle, and
-the final clean-up winners.  The weights are deliberately unequal so
-the collision term gamma-beta stays visible instead of cancelling.
+the 16*alpha trace value, agreement with the Pauli strings of `cartan`,
+and the final clean-up winners.  The weights are deliberately unequal
+so the collision term gamma-beta stays visible instead of cancelling.
 
 Checks run in dependency order; the first failure names the identity
 that broke.  The checks consume the public codec entry points, so a
@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-import numpy as np
-
 from . import codec
 from .blades import BladeIndex
-from .cartan import blade_matrix, rep
+from .cartan import I, SIGMA3, blade_string, diagonal, product, rep, trace
 from .codec import SymbolTable
 from .multivector import Multivector, trace_product
 
@@ -47,7 +45,6 @@ _ROLES = (("name", "1010"), ("sex", "0111"), ("age", "1011"))
 GENERATOR_PRODUCT_DIAGONAL = (1j, -1j, -1j, 1j) * 4
 
 ORACLE_TOL = 1e-9
-EXACT_TOL = 1e-12
 
 
 def fixture_table() -> SymbolTable:
@@ -152,12 +149,15 @@ def run_verification() -> VerificationReport:
     )
 
     # 5. the same numbers from the literal matrix trace, plus the product
-    #    homomorphism on the decode itself
-    trace_mat = np.trace(blade_matrix(table.fillers["Pat"], FIXTURE_M) @ rep(pat_prime, FIXTURE_M))
-    homo_gap = np.abs(
-        rep(Multivector.from_blade(name_blade), FIXTURE_M) @ rep(record.payload, FIXTURE_M)
-        - rep(pat_prime, FIXTURE_M)
-    ).max()
+    #    homomorphism on the decode itself, in the Pauli-string model
+    trace_mat = trace(product(rep(e_pat, FIXTURE_M), rep(pat_prime, FIXTURE_M)))
+    lhs = product(
+        rep(Multivector.from_blade(name_blade), FIXTURE_M), rep(record.payload, FIXTURE_M)
+    )
+    rhs = rep(pat_prime, FIXTURE_M)
+    homo_gap = max(
+        (abs(lhs.get(s, 0j) - rhs.get(s, 0j)) for s in lhs.keys() | rhs.keys()), default=0.0
+    )
     report.record(
         "matrix-oracle-agreement",
         abs(trace_mat - 16 * ALPHA) <= ORACLE_TOL and homo_gap <= ORACLE_TOL,
@@ -165,19 +165,22 @@ def run_verification() -> VerificationReport:
         f"trace {trace_mat}, product gap {homo_gap:.3g}",
     )
 
-    # 6. the pinned diagonal of the e_1 e_4 representative
-    e14 = blade_matrix(BladeIndex.from_bits("1001"), FIXTURE_M)
-    expected_diag = np.array(GENERATOR_PRODUCT_DIAGONAL)
+    # 6. the pinned diagonal of the e_1 e_4 representative: a string of I
+    #    and sigma3 letters is diagonal, and one that is not all I is traceless
+    e14 = BladeIndex.from_bits("1001")
+    phase, letters = blade_string(e14, FIXTURE_M)
+    diag = diagonal((phase, letters))
+    e14_trace = trace(rep(Multivector.from_blade(e14), FIXTURE_M))
     diag_ok = (
-        np.abs(np.diagonal(e14) - expected_diag).max() <= EXACT_TOL
-        and np.abs(e14 - np.diag(expected_diag)).max() <= EXACT_TOL
-        and abs(np.trace(e14)) <= EXACT_TOL
+        set(letters) <= {I, SIGMA3}
+        and diag == list(GENERATOR_PRODUCT_DIAGONAL)
+        and e14_trace == 0
     )
     report.record(
         "generator-product-diagonal",
         diag_ok,
         "diag(i,-i,-i,i | *4), traceless",
-        f"diagonal {np.diagonal(e14).round(12).tolist()}, trace {np.trace(e14)}",
+        f"diagonal {diag}, trace {e14_trace}",
     )
 
     # 7. clean-up winners for all three roles, with the collision-scarred

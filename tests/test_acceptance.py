@@ -18,7 +18,6 @@ from bladebind.blades import (
     geometric_product,
     product_sign,
 )
-from bladebind.cartan import blade_matrix, generator_matrix
 from bladebind.cli import main as cli_main
 from bladebind.codec import (
     CleanupMemory,
@@ -30,7 +29,7 @@ from bladebind.codec import (
     hamming,
 )
 from bladebind.multivector import Multivector, similarity, trace_product
-from bladebind.reference import crossing_count, product_by_transposition_sort
+from bladebind.reference import product_by_transposition_sort
 from bladebind.verify import (
     ALPHA,
     BETA,
@@ -39,6 +38,7 @@ from bladebind.verify import (
     fixture_table,
     run_verification,
 )
+from dense_cartan import blade_matrix, crossing_count, generator_matrix
 
 MATRIX_TOL = 1e-9
 EXACT_TOL = 1e-12

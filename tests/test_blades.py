@@ -15,11 +15,8 @@ from bladebind.blades import (
     reversion_sign,
 )
 from bladebind.codec import gen_symbols
-from bladebind.reference import (
-    product_by_transposition_sort,
-    product_sign_slow,
-    sign_by_crossing_count,
-)
+from bladebind.reference import product_by_transposition_sort, product_sign_slow
+from dense_cartan import sign_by_crossing_count
 
 
 def b(text):

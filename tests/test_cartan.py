@@ -1,17 +1,17 @@
-"""Pauli/Kronecker matrix model: pins, anticommutation, homomorphism."""
+"""Pauli/Kronecker matrix model: pins, anticommutation, homomorphism, and
+the Pauli-string oracle checked against the dense model and the kernel."""
+
+import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from bladebind import cartan
 from bladebind.blades import BladeIndex, product_sign
-from bladebind.cartan import (
-    ORDER_CAP,
-    blade_matrix,
-    generator_matrix,
-    pauli,
-    rep,
-)
-from bladebind.multivector import Multivector, min_factor_count
+from bladebind.cartan import PHASES, blade_string, diagonal, product, string_product, trace
+from bladebind.multivector import Multivector, min_factor_count, trace_product
+from dense_cartan import ORDER_CAP, blade_matrix, generator_matrix, pauli, rep
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,8 +107,6 @@ def test_blade_matrix_rejects_too_many_positions():
 
 
 def test_product_homomorphism_random_pairs():
-    import random
-
     rng = random.Random(1)
     m, n = 3, 6
     for _ in range(60):
@@ -163,3 +161,144 @@ def test_rep_respects_products():
     y = Multivector.from_pairs([(3.0, "000011"), (1.0, "110000")], 6)
     assert np.abs(rep(x.gp(y), m) - rep(x, m) @ rep(y, m)).max() <= 1e-9
 
+
+
+# --- the Pauli-string oracle against the dense model ----------------------------
+
+DENSE_LETTER = {0: I2, 1: S1, 2: S2, 3: S3}
+
+
+def string_matrix(s):
+    """i^p times the Kronecker product of the letters, slot 0 leftmost."""
+    phase, letters = s
+    return PHASES[phase] * reduce(np.kron, [DENSE_LETTER[a] for a in letters], np.eye(1))
+
+
+def rep_matrix(x, m):
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    for letters, coeff in x.items():
+        out += coeff * string_matrix((0, letters))
+    return out
+
+
+def random_blade(rng, n):
+    return BladeIndex(n, rng.getrandbits(n))
+
+
+def random_string(rng, m):
+    return rng.randrange(4), tuple(rng.randrange(4) for _ in range(m))
+
+
+def int_multivector(rng, n, terms):
+    """Small-integer coefficients, so every sum below is exact in floating point."""
+    return Multivector(n, {random_blade(rng, n): float(rng.choice([-3, -2, -1, 1, 2, 3]))
+                           for _ in range(terms)})
+
+
+def test_letter_table_is_the_pauli_product():
+    for a in range(4):
+        for b in range(4):
+            phase, c = cartan._SLOT_PRODUCT[a, b]
+            assert np.array_equal(
+                DENSE_LETTER[a] @ DENSE_LETTER[b], PHASES[phase] * DENSE_LETTER[c]
+            )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_blade_strings_match_the_dense_model_exhaustively(m):
+    # n < 2m - 1 leaves spare factors on the left, which carry sigma1^c only
+    for n in range(1, 2 * m + 1):
+        for v in range(1 << n):
+            b = BladeIndex(n, v)
+            s = blade_string(b, m)
+            assert np.array_equal(string_matrix(s), blade_matrix(b, m)), b
+            assert np.array_equal(diagonal(s), np.diagonal(blade_matrix(b, m)))
+            assert trace({s[1]: PHASES[s[0]]}) == np.trace(blade_matrix(b, m))
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_blade_strings_match_the_dense_model_on_samples(m):
+    rng = random.Random(m)
+    for n in (2 * m - 1, 2 * m):
+        for _ in range(30):
+            b = random_blade(rng, n)
+            assert np.array_equal(string_matrix(blade_string(b, m)), blade_matrix(b, m)), b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_string_product_and_trace_match_the_dense_model(m):
+    rng = random.Random(10 + m)
+    for _ in range(60):
+        s, t = random_string(rng, m), random_string(rng, m)
+        assert np.array_equal(
+            string_matrix(string_product(s, t)), string_matrix(s) @ string_matrix(t)
+        )
+        assert trace({s[1]: PHASES[s[0]]}) == np.trace(string_matrix(s))
+
+
+def test_rep_and_product_match_the_dense_model():
+    rng = random.Random(4)
+    m, n = 4, 8
+    for _ in range(10):
+        x, y = int_multivector(rng, n, 4), int_multivector(rng, n, 3)
+        assert np.array_equal(rep_matrix(cartan.rep(x, m), m), rep(x, m))
+        assert np.array_equal(
+            rep_matrix(product(cartan.rep(x, m), cartan.rep(y, m)), m), rep(x, m) @ rep(y, m)
+        )
+
+
+def test_generator_by_generator_build_matches_the_prefix_count():
+    # the O(n^2) route: multiply the generator strings in ascending order
+    rng = random.Random(5)
+    for n in (63, 64):
+        m = (n + 1) // 2
+
+        def generator(j):
+            k = (j + 1) // 2
+            return 0, (1,) * (m - k) + ((3 if j & 1 else 2),) + (0,) * (k - 1)
+
+        for _ in range(10):
+            b = random_blade(rng, n)
+            want = reduce(string_product, map(generator, b.positions()), (0, (0,) * m))
+            assert blade_string(b, m) == want
+
+
+def test_strings_need_enough_factors():
+    with pytest.raises(ValueError):
+        blade_string(BladeIndex(7, 1), 3)
+    with pytest.raises(ValueError):
+        cartan.rep(Multivector(7), 3)
+    with pytest.raises(ValueError):
+        string_product((0, (1, 2)), (0, (1,)))
+
+
+@pytest.mark.parametrize("n", [1024, 10_000])
+def test_strings_match_product_sign_at_scale(n):
+    rng = random.Random(n)
+    m = n // 2
+    for _ in range(6 if n == 1024 else 3):
+        a, b = random_blade(rng, n), random_blade(rng, n)
+        phase, letters = string_product(blade_string(a, m), blade_string(b, m))
+        want_phase, want_letters = blade_string(a ^ b, m)
+        assert letters == want_letters
+        assert PHASES[phase] == product_sign(a, b) * PHASES[want_phase]
+
+
+@pytest.mark.parametrize("n", [1024, 10_000])
+def test_strings_match_gp_and_trace_product_at_scale(n):
+    rng = random.Random(n + 1)
+    m = n // 2
+    x, y = int_multivector(rng, n, 3), int_multivector(rng, n, 2)
+    assert product(cartan.rep(x, m), cartan.rep(y, m)) == cartan.rep(x.gp(y), m)
+    # x shares no blade with y, so x*y has no scalar part; x*x has one
+    for other in (y, x):
+        oracle = product(cartan.rep(x, m), cartan.rep(other, m))
+        scalar = oracle.get((0,) * m, 0j)  # the trace over 2^m
+        assert scalar == x.gp(other).scalar_part()
+        if n > 2046 and scalar:  # 2^m times it is past the largest float
+            with pytest.raises(OverflowError):
+                trace(oracle)
+            with pytest.raises(ValueError):
+                trace_product(x, other, m)
+        else:
+            assert trace(oracle) == trace_product(x, other, m)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from bladebind import codec
 from bladebind.blades import BladeIndex, DimensionMismatch, product_sign
 from bladebind.codec import (
     CleanupMemory,
@@ -75,6 +76,32 @@ def test_gen_symbols_rejects_bad_requests():
         gen_symbols(0, 8, 1, ["r"], ["f1", "f2"])  # one nonzero 1-bit prefix only
     with pytest.raises(ValueError):
         gen_symbols(0, 2, 2, ["r1", "r2"], ["f1", "f2"])  # 3 strings available
+
+
+def no_draws(*args):
+    raise AssertionError("a random.Random was seeded")
+
+
+def test_gen_symbols_rejects_a_negative_seed_before_drawing(monkeypatch):
+    # random.Random(-7) seeds with 7, so -7 would silently repeat seed 7's table
+    monkeypatch.setattr(codec.random, "Random", no_draws)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -7"):
+        gen_symbols(-7, 64, 16, ["r"], ["f"])
+
+
+@pytest.mark.parametrize("items", [
+    pytest.param(["1100", "0011"], id="every-position-ties"),
+    pytest.param(["1100", "1010", "1001"], id="no-ties"),
+])
+def test_majority_chunk_rejects_a_negative_seed_before_drawing(monkeypatch, items):
+    monkeypatch.setattr(codec.random, "Random", no_draws)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        majority_chunk([b(bits) for bits in items], seed=-5)
+
+
+def test_classic_encode_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        classic_encode(small_table(), [("name", "Pat"), ("sex", "male")], -5)
 
 
 def test_symbol_table_validation():

@@ -34,12 +34,6 @@ def test_package_reexports_each_module_object(module):
     assert copies == []
 
 
-@pytest.mark.parametrize("name", sorted(bladebind._LAZY))
-def test_package_reexports_each_lazy_object(name):
-    module = importlib.import_module(f"bladebind.{bladebind._LAZY[name]}")
-    assert getattr(bladebind, name) is getattr(module, name)
-
-
 def test_every_name_the_tracer_patches_is_bound():
     # perfbench/spans.py reads each patched name from its owner's vars()
     # (codec's entry points, product_sign and hamming, multivector.product_sign,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bladebind.blades import BladeIndex, SignedBlade, blade_inverse
-from bladebind.cartan import blade_matrix, rep
 from bladebind.multivector import Multivector, similarity, trace_product
+from dense_cartan import blade_matrix, rep
 
 
 def mv(pairs, n=4):

@@ -27,7 +27,8 @@ from bladebind.codec import (
     majority_chunk,
 )
 from bladebind.multivector import Multivector, similarity, trace_product
-from bladebind.reference import product_by_transposition_sort, sign_by_crossing_count
+from bladebind.reference import product_by_transposition_sort
+from dense_cartan import sign_by_crossing_count
 
 
 @st.composite

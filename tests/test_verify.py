@@ -1,6 +1,6 @@
 """The pinned worked-example run and its tamper sensitivity."""
 
-from bladebind import codec, multivector, verify
+from bladebind import cartan, codec, multivector, verify
 
 
 def test_verification_passes():
@@ -46,6 +46,15 @@ def test_tampered_decode_sign_fails_cleanup_check(monkeypatch):
     report = verify.run_verification()
     assert not report.passed
     assert report.first_failure.name == "cleanup-winners"
+
+
+def test_tampered_pauli_table_fails_oracle_check(monkeypatch):
+    # sigma1 sigma2 is +i sigma3; the codec checks before this one never read the table
+    assert cartan._SLOT_PRODUCT[cartan.SIGMA1, cartan.SIGMA2] == (1, cartan.SIGMA3)
+    monkeypatch.setitem(cartan._SLOT_PRODUCT, (cartan.SIGMA1, cartan.SIGMA2), (3, cartan.SIGMA3))
+    report = verify.run_verification()
+    assert not report.passed
+    assert report.first_failure.name == "matrix-oracle-agreement"
 
 
 def _real_sign(b, mask):
