@@ -25,12 +25,13 @@ for name, blade in table.fillers.items():
 record = ga_encode(table, [("name", "Pat"), ("sex", "male"), ("age", "66")])
 print("record terms:", len(record.payload))
 
-# Decoding a role relabels each record key v as v XOR role, with the
-# sign the role's inverse would give it, and reads the filler
-# coefficients off the relabelled keys; the largest in absolute value
-# wins.  The bound filler comes back at full weight; the other two pairs
-# are relabelled onto keys that name no filler and are counted as
-# residual terms.
+# Decoding a role relabels each record key v as v XOR role and reads the
+# filler coefficients off the relabelled keys; the largest in absolute
+# value wins.  The role's inverse gives a key landing on a filler the
+# same sign that binding gave that pair, product_sign(role, filler), so
+# the bound filler comes back at full weight.  The other two pairs are
+# relabelled onto keys that name no filler and are counted as residual
+# terms.
 for role in ("name", "sex", "age"):
     res = ga_decode(record, table, role)
     print(

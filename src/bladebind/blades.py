@@ -19,7 +19,10 @@ big-int operations on the raw ints: a prefix-parity scan of the left
 factor (`_prefix_parity`), then one AND and one popcount against the
 right factor (`_masked_sign`).  `Multivector.gp` applies that rule to
 raw int keys; `product_sign` applies it to two `BladeIndex` objects,
-popcounting only from the right factor's lowest set bit up.
+popcounting only from the right factor's lowest set bit up.  It is the
+one sign of the GA codec: binding a filler f to a role r and reading f
+back after unbinding by inverse(r) take the same sign, see
+`bladebind.codec.ga_decode`.
 `bladebind.reference` keeps slow independent implementations for
 differential testing.
 """
@@ -75,9 +78,10 @@ class BladeIndex:
         n: number of generator positions (n >= 1).
         value: the bits packed into an int, position i at machine bit n - i.
 
-    Two product caches start empty and fill on first use: the
-    prefix-parity mask (as a left factor) and the machine bit where the
-    sign's popcount starts (as a right factor, see `_popcount_start`).
+    Two product caches start empty and `product_sign` fills each on
+    first use: the prefix-parity mask (`_prefix_parity`, as a left
+    factor) and the machine bit where the sign's popcount starts (as a
+    right factor, see `_popcount_start`).
     """
 
     __slots__ = ("n", "value", "_below_mask", "_low")
@@ -158,18 +162,6 @@ class BladeIndex:
             return NotImplemented
         _check_dims(self, other)
         return BladeIndex._trusted(self.n, self.value ^ other.value)
-
-    def below_parity_mask(self) -> int:
-        """Int whose machine bit j holds the parity of this blade's bits below j.
-
-        Computed once per blade by `_prefix_parity` and cached;
-        `product_sign` then needs one AND and one popcount per product.
-        """
-        mask = self._below_mask
-        if mask is None:
-            mask = _prefix_parity(self.value, self.n)
-            _set_below_mask(self, mask)
-        return mask
 
     # --- plumbing ---------------------------------------------------------
 
@@ -275,13 +267,14 @@ def product_sign(a: BladeIndex, b: BladeIndex) -> int:
     set bit below b's lowest set bit, so the popcount can start there: a
     filler, zero in its lowest n - k machine bits, costs k bits of
     popcount rather than n.  a's mask and b's start are each found once
-    per blade and cached.
+    per blade and cached in its slots.
     """
     if a.n != b.n:
         _check_dims(a, b)
     mask = a._below_mask
     if mask is None:
-        mask = a.below_parity_mask()
+        mask = _prefix_parity(a.value, a.n)
+        _set_below_mask(a, mask)
     low = b._low
     if low is None:
         low = _popcount_start(b.value, b.n)

@@ -56,6 +56,10 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_gen(args) -> int:
     roles = [part.strip() for part in args.roles.split(",")]
     fillers = [part.strip() for part in args.fillers.split(",")]
+    for name in roles:
+        # encode --pairs splits each role=filler at its first "="
+        if "=" in name:
+            raise ValueError(f"role name {_shorten(repr(name))} contains '='")
     table = gen_symbols(args.seed, args.n, args.k, roles, fillers)
     table.save(args.out)
     _emit(

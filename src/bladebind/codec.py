@@ -4,14 +4,17 @@ Two interchangeable codings of the same record abstraction:
 
 * GA codec: binding is the signed blade product, chunking is sparse
   coefficient addition, both on raw blade ints (a pair lands on
-  role.value ^ filler.value).  Unbinding a role r relabels each record
-  key v as v ^ r with a +-1 sign, and clean-up reads each filler's
-  reversion similarity (the scalar part of reverse(x) * y) off that
-  relabelling as its coefficient.  So the decode walks the record's
-  keys, drops those that differ from r among the lowest min(n - k, 30)
-  machine bits (where no filler has a set bit), looks the rest up in
-  the table's value -> name index and signs only the filler hits:
-  O(P) per decode for a P-pair record, whatever the filler count.
+  role.value ^ filler.value with sign product_sign(role, filler)).
+  Unbinding a role r relabels each record key v as v ^ r with a +-1
+  sign, and clean-up reads each filler's reversion similarity (the
+  scalar part of reverse(x) * y) off that relabelling as its
+  coefficient.  For a key landing on filler f that sign is again
+  product_sign(r, f), the bind's own, so both directions share one
+  sign rule.  The decode walks the record's keys, drops those that
+  differ from r among the lowest min(n - k, 30) machine bits (where no
+  filler has a set bit), looks the rest up in the table's value -> name
+  index and signs only the filler hits: O(P) per decode for a P-pair
+  record, whatever the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
   The vote is bit-sliced over the int bit strings: per-position counts
@@ -35,16 +38,7 @@ import json
 import random
 from collections import namedtuple
 
-from .blades import (
-    BladeIndex,
-    _check_dims,
-    _masked_sign,
-    _shorten,
-    format_blade,
-    parse_blade,
-    product_sign,
-    reversion_sign,
-)
+from .blades import BladeIndex, _check_dims, _shorten, format_blade, parse_blade, product_sign
 from .multivector import Multivector, _add_terms
 from .multivector import similarity  # unused here; perfbench/spans.py patches this name
 
@@ -347,17 +341,21 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     The unbind inverse(role) * payload moves each record term v to
     v ^ role with that blade product's sign: a bijection on keys, read
     off the record without forming the product, so a weight-w pair
-    gives exactly w times its filler blade.  A filler's reversion
-    similarity with the unbind is its coefficient there, so only the
-    filler blades among the unbind's keys score nonzero: O(P) for a
-    P-pair record whatever the number of fillers.  Crosstalk off the
-    filler support never names a filler and so never scores.  The
-    winner is the filler of largest absolute score, with the signed
-    score reported (binding is projective, a global sign carries no
-    information).  Exact score ties go to the lexicographically smallest
-    blade and are flagged ambiguous.  When no filler is present, every
-    filler scores 0: the smallest blade wins, ambiguous unless it is
-    the only filler.
+    gives exactly w times its filler blade.  For a key landing on filler
+    f that sign is product_sign(role, f), the sign the pair was bound
+    with: r * r = reversion_sign(|r|) in a Euclidean algebra, so
+    inverse(r) * (r * f) = f gives sign(r, f) * sign(r, r ^ f) =
+    reversion_sign(|r|), and the unbind sign reversion_sign(|r|) *
+    sign(r, r ^ f) is sign(r, f).  A filler's reversion similarity with
+    the unbind is its coefficient there, so only the filler blades
+    among the unbind's keys score nonzero: O(P) for a P-pair record
+    whatever the number of fillers.  Crosstalk off the filler support
+    never names a filler and so never scores.  The winner is the filler
+    of largest absolute score, with the signed score reported (binding
+    is projective, a global sign carries no information).  Exact score
+    ties go to the lexicographically smallest blade and are flagged
+    ambiguous.  When no filler is present, every filler scores 0: the
+    smallest blade wins, ambiguous unless it is the only filler.
     """
     if record.codec != GA:
         raise ValueError(f"ga_decode on a {record.codec!r} record")
@@ -373,27 +371,30 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     # lookup hashes all n bits (an int never caches its hash)
     off_support = (1 << min(table.n - table.k, 30)) - 1
     r_off = r & off_support
-    terms = record.payload._terms.items()
+    names, fillers = table._names, table.fillers
     best_abs = 0.0
     winner = None
     ambiguous = False
-    # ascending blade order, so a later exact tie never displaces the winner
-    for u, v, c in sorted((v ^ r, v, c) for v, c in terms if v & off_support == r_off):
-        name = table._names.get(u)
-        idx = table.fillers.get(name)
-        if idx is None:
+    for v, c in record.payload._terms.items():
+        if v & off_support != r_off:
             continue
-        s = c * reversion_sign(role.grade()) * _masked_sign(v, role.below_parity_mask())
+        name = names.get(v ^ r)
+        filler = fillers.get(name)
+        if filler is None:
+            continue
+        s = c * product_sign(role, filler)
         if abs(s) > best_abs:
             best_abs = abs(s)
-            winner = (name, idx, s)
+            winner = (name, filler, s)
             ambiguous = False
         elif abs(s) == best_abs:
             ambiguous = True
+            if filler.value < winner[1].value:
+                winner = (name, filler, s)
     if winner is None:
-        name, blade = min(table.fillers.items(), key=lambda kv: kv[1].value)
+        name, blade = min(fillers.items(), key=lambda kv: kv[1].value)
         winner = (name, blade, 0.0)
-        ambiguous = len(table.fillers) > 1
+        ambiguous = len(fillers) > 1
     name, blade, score = winner
     return GaDecodeResult(
         filler=name, blade=blade, score=score, ambiguous=ambiguous,

@@ -9,8 +9,11 @@ of their ints, with the sign from `blades._masked_sign`.  `BladeIndex`
 appears only at the API boundary: the constructor, `from_blade`,
 `from_pairs`, `items`, `coeff` and `to_pairs`.  Coefficients that cancel
 to exactly zero are dropped, so the term table only ever holds genuine
-support; NaN and infinite coefficients are rejected.  Values are
-immutable and every operation returns a fresh instance.
+support; NaN and infinite coefficients are rejected.  Every sign the
+algebra applies is an exact +-1 factor, so `==` takes no tolerance: two
+multivectors are equal when they share n and every coefficient.  Values
+are immutable but unhashable, and every operation returns a fresh
+instance.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ from .blades import (
 )
 
 __all__ = ["Multivector", "similarity", "trace_product", "min_factor_count"]
-
-# Absolute tolerance for coefficient comparison; the algebra itself is exact,
-# so this only matters when comparing against the matrix oracle.
-DEFAULT_TOLERANCE = 1e-9
 
 
 class Multivector:
@@ -190,16 +189,8 @@ class Multivector:
     # --- comparison --------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Key-by-key coefficient equality within DEFAULT_TOLERANCE."""
-        if not isinstance(other, Multivector) or self.n != other.n:
-            return False
-        mine, theirs = self._terms, other._terms
-        for v in mine.keys() | theirs.keys():
-            if abs(mine.get(v, 0.0) - theirs.get(v, 0.0)) > DEFAULT_TOLERANCE:
-                return False
-        return True
-
-    __hash__ = None  # tolerance-based equality is incompatible with hashing
+        """Exact: the same n and the same coefficient on every blade."""
+        return isinstance(other, Multivector) and (self.n, self._terms) == (other.n, other._terms)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{lit}: {c:g}" for c, lit in self.to_pairs())

@@ -7,6 +7,7 @@ from bladebind.blades import (
     BladeIndex,
     DimensionMismatch,
     SignedBlade,
+    _prefix_parity,
     blade_inverse,
     format_blade,
     geometric_product,
@@ -142,7 +143,7 @@ def test_below_parity_mask_semantics():
     for _ in range(50):
         n = rng.randrange(1, 70)
         v = rng.getrandbits(n)
-        mask = BladeIndex(n, v).below_parity_mask()
+        mask = _prefix_parity(v, n)
         for j in range(n):
             below = v & ((1 << j) - 1)
             assert (mask >> j) & 1 == below.bit_count() & 1
@@ -153,6 +154,30 @@ def test_below_parity_mask_semantics():
 
 def test_reversion_sign_by_grade():
     assert [reversion_sign(k) for k in range(6)] == [1, 1, -1, -1, 1, 1]
+
+
+def test_unbind_sign_is_the_bind_sign():
+    # r * r = reversion_sign(|r|), so inverse(r) * (r * f) = f gives
+    # sign(r, f) * sign(r, r ^ f) = reversion_sign(|r|): ga_decode scores
+    # a filler hit with the bind sign product_sign(r, f)
+    for n in range(1, 7):
+        for rv in range(1 << n):
+            for fv in range(1 << n):
+                r, f = BladeIndex(n, rv), BladeIndex(n, fv)
+                bind, unbind = product_sign(r, f), product_sign(r, r ^ f)
+                assert (bind, unbind) == (product_sign_slow(r, f), product_sign_slow(r, r ^ f))
+                assert bind * unbind == reversion_sign(r.grade())
+    for n, k in [(1024, 256), (10_000, 2500)]:
+        table = gen_symbols(n, n, k, [f"r{i}" for i in range(8)], [f"f{i}" for i in range(64)])
+        roles, fillers = table.roles.values(), table.fillers.values()
+        assert all(r._below_mask is None for r in roles)
+        assert all(f._low is None for f in fillers)
+        for _ in range(2):  # caches empty, then filled
+            for r in roles:
+                for f in fillers:
+                    assert product_sign(r, f) * product_sign(r, r ^ f) == reversion_sign(r.grade())
+        assert all(r._below_mask == _prefix_parity(r.value, n) for r in roles)
+        assert all(f._low is not None for f in fillers)
 
 
 def test_blade_inverse_cancels():
@@ -233,10 +258,12 @@ def test_trusted_blade_index_is_the_checked_one(n, value):
     fast, checked = BladeIndex._trusted(n, value), BladeIndex(n, value)
     assert fast == checked and hash(fast) == hash(checked)
     assert repr(fast) == repr(checked)
-    assert fast.below_parity_mask() == checked.below_parity_mask()
-    # product_sign caches the right factor's lowest set bit; values stay equal
+    # product_sign caches the left factor's prefix-parity mask and the
+    # right factor's lowest set bit; values stay equal
+    assert fast._below_mask is None and checked._below_mask is None
     assert fast._low is None and checked._low is None
     assert product_sign(fast, fast) == product_sign(checked, checked)
+    assert fast._below_mask == checked._below_mask == _prefix_parity(value, n)
     assert fast._low == checked._low is not None
     assert fast == checked and hash(fast) == hash(checked)
     assert repr(fast) == repr(checked)

@@ -73,6 +73,26 @@ def test_gen_rejects_an_empty_name_and_writes_nothing(capsys, tmp_path, roles):
     assert not out.exists()
 
 
+def test_gen_rejects_a_role_name_that_pairs_cannot_name(capsys, tmp_path):
+    # encode --pairs reads "a=b=x" as role "a", filler "b=x"
+    out = tmp_path / "t.json"
+    err = assert_usage_error(capsys, "gen", "--n", "16", "--k", "4", "--roles", "a=b,c",
+                             "--out", str(out))
+    assert "role name 'a=b' contains '='" in err
+    assert not out.exists()
+    # a filler name may hold "=": the role is split off at the first one
+    path = tmp_path / "ok.json"
+    rc, _, _ = run(capsys, "gen", "--n", "16", "--k", "4", "--roles", "a,c",
+                   "--fillers", "b=x,y", "--out", str(path))
+    assert rc == 0
+    rc, _, _ = run(capsys, "encode", "--in", str(path), "--pairs", "a=b=x",
+                   "--out", str(tmp_path / "r.json"))
+    assert rc == 0
+    rc, out, _ = run(capsys, "decode", "--in", str(tmp_path / "r.json"), "--memory", str(path),
+                     "--role", "a")
+    assert rc == 0 and "b=x" in out
+
+
 def test_gen_at_ten_thousand_bits(capsys, tmp_path):
     path = tmp_path / "big.json"
     rc, _, _ = run(capsys, "gen", "--n", "10000", "--k", "2500",

@@ -190,14 +190,17 @@ def test_dimension_checks():
         Multivector(3, {BladeIndex.from_bits("10"): 1.0})
 
 
-def test_equality_tolerance():
+def test_equality_is_exact():
     x = mv([(1.0, "1010")])
     y = mv([(1.0 + 5e-10, "1010")])
-    z = mv([(1.0 + 5e-6, "1010")])
-    assert x == y
-    assert not x != y
-    assert not x == z
-    assert x != z
+    assert not x == y
+    assert x != y
+    # the same terms built in another order are equal
+    terms = [(1.0, "1010"), (-2.5, "0110"), (0.5, "0000")]
+    assert mv(terms) == mv(terms[::-1])
+    assert mv(terms) == mv(terms[1:]) + mv(terms[:1])
+    assert not mv(terms) != mv(terms[::-1])
+    assert Multivector(4) == Multivector(4) != Multivector(5)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """The pinned worked-example run and its tamper sensitivity."""
 
+import sys
+
 from bladebind import cartan, codec, multivector, verify
 
 
@@ -41,8 +43,14 @@ def test_tampered_product_sign_fails_decode_check(monkeypatch):
 
 
 def test_tampered_decode_sign_fails_cleanup_check(monkeypatch):
-    # the decode signs each relabelled record term itself, with no product
-    monkeypatch.setattr(codec, "_masked_sign", lambda b, mask: -_real_sign(b, mask))
+    # the decode scores each filler hit with the bind sign; negate it there only
+    real = codec.product_sign
+
+    def decode_negated(a, b):
+        sign = real(a, b)
+        return -sign if sys._getframe(1).f_code.co_name == "ga_decode" else sign
+
+    monkeypatch.setattr(codec, "product_sign", decode_negated)
     report = verify.run_verification()
     assert not report.passed
     assert report.first_failure.name == "cleanup-winners"
