@@ -37,7 +37,7 @@ def _parse_pairs(text: str) -> list:
     for chunk in text.split(","):
         role, eq, filler = chunk.partition("=")
         if not eq or not role.strip() or not filler.strip():
-            raise ValueError(f"bad pair {chunk!r}, expected role=filler")
+            raise ValueError(f"bad pair {_shorten(repr(chunk))}, expected role=filler")
         pairs.append((role.strip(), filler.strip()))
     return pairs
 
@@ -46,7 +46,7 @@ def _parse_weights(text: str) -> list:
     try:
         return [float(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"bad weight list {text!r}") from None
+        raise ValueError(f"bad weight list {_shorten(repr(text))}") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -56,10 +56,6 @@ def _emit(args, payload: dict, text: str) -> None:
 def cmd_gen(args) -> int:
     roles = [part.strip() for part in args.roles.split(",")]
     fillers = [part.strip() for part in args.fillers.split(",")]
-    for name in roles:
-        # encode --pairs splits each role=filler at its first "="
-        if "=" in name:
-            raise ValueError(f"role name {_shorten(repr(name))} contains '='")
     table = gen_symbols(args.seed, args.n, args.k, roles, fillers)
     table.save(args.out)
     _emit(
@@ -204,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # random.Random seeds with abs(seed), so -7 would repeat 7's output
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {_shorten(str(args.seed))}")
         code = args.handler(args)
         sys.stdout.flush()  # a buffered write to a closed pipe fails here
         return code

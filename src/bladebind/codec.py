@@ -104,12 +104,14 @@ class SymbolTable(_JsonFile):
 
     k is the filler support width: every filler is zero beyond position
     k.  Roles use all n positions.  Names are unique across the whole
-    table and no two symbols share a bit string.  Treat the mappings as
-    read-only: they are validated once, here.  Validation also keeps one
+    table and no two symbols share a bit string.  This is the one check
+    of names, for `gen_symbols` and every file load: a name is nonempty,
+    unpadded and holds no ",", and a role name no "=", so that a
+    "role=filler,..." list spells every pair.  Treat the mappings as
+    read-only: they are validated once, here.  Validation also keeps a
     value -> name index of every symbol for the GA clean-up, and the
     classic clean-up memory is a live view of `fillers`, so a later
-    change to `roles` or `fillers` would go unchecked and leave the
-    index stale.
+    change to either mapping would go unchecked and leave the index stale.
     """
 
     def __init__(self, n: int, k: int, roles: dict, fillers: dict):
@@ -127,6 +129,11 @@ class SymbolTable(_JsonFile):
                     raise ValueError(
                         f"{kind} name must be a nonempty string: {_shorten(repr(name))}"
                     )
+                for mark in ",=" if kind == "role" else ",":
+                    if mark in name:
+                        raise ValueError(f"{kind} name {_shorten(repr(name))} contains {mark!r}")
+                if name != name.strip():
+                    raise ValueError(f"{kind} name {_shorten(repr(name))} has outer whitespace")
                 if blade.n != n:
                     raise ValueError(
                         f"{kind} {_shorten(repr(name))} has dimension {blade.n}, table has {n}"
@@ -406,7 +413,7 @@ def _resolve(mapping: dict, name: str, kind: str) -> BladeIndex:
     try:
         return mapping[name]
     except KeyError:
-        raise ValueError(f"unknown {kind} {name!r}") from None
+        raise ValueError(f"unknown {kind} {_shorten(repr(name))}") from None
 
 
 # --- classic codec ---------------------------------------------------------------

@@ -111,7 +111,7 @@ def run_verification() -> VerificationReport:
     }
     report.record(
         "bound-pair-signs",
-        all(got[p].to_pairs() == expected_signs[p].to_pairs() for p in expected_signs),
+        got == expected_signs,
         {p: repr(v) for p, v in expected_signs.items()},
         {p: repr(v) for p, v in got.items()},
     )
@@ -122,7 +122,7 @@ def run_verification() -> VerificationReport:
     expected_record = mv([(ALPHA, "0110"), (GAMMA - BETA, "1111")])
     report.record(
         "encoded-record",
-        record.payload.to_pairs() == expected_record.to_pairs(),
+        record.payload == expected_record,
         repr(expected_record),
         repr(record.payload),
     )
@@ -133,7 +133,7 @@ def run_verification() -> VerificationReport:
     expected_prime = mv([(-ALPHA, "1100"), (GAMMA - BETA, "0101")])
     report.record(
         "name-decode-terms",
-        pat_prime.to_pairs() == expected_prime.to_pairs(),
+        pat_prime == expected_prime,
         repr(expected_prime),
         repr(pat_prime),
     )

@@ -491,6 +491,55 @@ def test_long_file_values_are_cut_in_error_text(capsys, tmp_path, case):
     assert len(err.encode()) < 300
 
 
+@pytest.mark.parametrize("flag", ["--pairs", "--weights", "--role"])
+def test_long_flag_values_are_cut_in_error_text(capsys, tmp_path, flag):
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    value = "x" * 100_000
+    if flag == "--role":
+        rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                       "--out", str(record))
+        assert rc == 0
+        argv = ["decode", "--in", str(record), "--memory", str(table), "--role", value]
+    else:
+        pairs = value if flag == "--pairs" else "name=Pat"
+        argv = ["encode", "--in", str(table), "--pairs", pairs, "--out", str(record)]
+        if flag == "--weights":
+            argv += ["--weights", value]
+    err = assert_usage_error(capsys, *argv)
+    assert len(err.encode()) <= 140
+
+
+@pytest.mark.parametrize(
+    "kind, name, message",
+    [
+        ("roles", "a=b", "role name 'a=b' contains '='"),
+        ("roles", "a,b", "role name 'a,b' contains ','"),
+        ("fillers", "x,y", "filler name 'x,y' contains ','"),
+        ("roles", " a", "role name ' a' has outer whitespace"),
+    ],
+)
+def test_a_table_name_that_pairs_cannot_spell_exits_2(capsys, tmp_path, kind, name, message):
+    # gen never writes such a name; a table file edited after gen can hold one
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--pairs", "name=Pat",
+                   "--out", str(record))
+    assert rc == 0
+    obj = json.loads(table.read_text())
+    obj[kind][name] = obj[kind].pop("sex" if kind == "roles" else "male")
+    table.write_text(json.dumps(obj))
+    out = tmp_path / "new.json"
+    pairs, role = (f"{name}=male", name) if kind == "roles" else (f"sex={name}", "name")
+    for argv in (
+        ["encode", "--in", str(table), "--pairs", pairs, "--out", str(out)],
+        ["decode", "--in", str(record), "--memory", str(table), "--role", role],
+    ):
+        err = assert_usage_error(capsys, *argv)
+        assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["record-n-high", "record-n-low", "table-k"])
 def test_huge_dimensions_are_cut_in_error_text(capsys, tmp_path, case):
     table = gen_table(capsys, tmp_path)
@@ -642,20 +691,24 @@ def test_a_huge_size_is_one_short_error_line(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["gen", "encode", "bench"])
+@pytest.mark.parametrize("command", ["gen", "encode", "encode-ga", "bench"])
 def test_a_negative_seed_is_a_usage_error(capsys, tmp_path, command):
     # Random seeds with abs(seed): -1 would silently repeat seed 1
     out = tmp_path / "out.json"
+    message = "seed must be >= 0, got -1"
     if command == "gen":
         argv = ["gen", "--n", "16", "--k", "4", "--out", str(out)]
-    elif command == "encode":
+    elif command.startswith("encode"):
         table = gen_table(capsys, tmp_path)
-        argv = ["encode", "--in", str(table), "--codec", "classic",
+        codec = "ga" if command == "encode-ga" else "classic"
+        argv = ["encode", "--in", str(table), "--codec", codec,
                 "--pairs", "name=Pat", "--out", str(out)]
+        if codec == "ga":
+            message = "--seed applies to the classic codec only"
     else:
         argv = ["bench", "--n", "64"]
     err = assert_usage_error(capsys, *argv, "--seed", "-1")
-    assert err == "error: --seed must be >= 0, got -1\n"
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -119,6 +119,26 @@ def test_symbol_table_validation():
         SymbolTable(n=4, k=2, roles={"r": b("10100")}, fillers={})
 
 
+@pytest.mark.parametrize("kind, name, message", [
+    ("role", "a=b", "role name 'a=b' contains '='"),
+    ("role", "a,b", "role name 'a,b' contains ','"),
+    ("filler", "x,y", "filler name 'x,y' contains ','"),
+    ("role", " a", "role name ' a' has outer whitespace"),
+    ("filler", "x\t", "filler name 'x\\t' has outer whitespace"),
+])
+def test_symbol_table_rejects_a_name_a_pair_list_cannot_spell(kind, name, message):
+    # "role=filler,..." is split at commas, then at each first "=", parts stripped
+    roles = {name: b("1010")} if kind == "role" else {}
+    fillers = {name: b("1100")} if kind == "filler" else {}
+    with pytest.raises(ValueError) as exc:
+        SymbolTable(n=4, k=2, roles=roles, fillers=fillers)
+    assert str(exc.value) == message
+
+
+def test_inner_spaces_and_a_filler_equals_sign_are_legal_names():
+    SymbolTable(n=4, k=2, roles={"a b": b("1010")}, fillers={"b=x": b("1100")})
+
+
 def test_filler_support_check_at_every_boundary():
     # n=8, k=3: a filler may only use positions 1..3, machine bits 7..5
     for value in range(1, 256):
