@@ -99,30 +99,32 @@ def cmd_decode(args) -> int:
         raise ValueError(f"--threshold must be finite and >= 0, got {args.threshold}")
     record = EncodedRecord.load(args.infile)
     table = SymbolTable.load(args.memory)
+    # stripped like a --pairs name; a table holds no padded name to miss
+    role_name = args.role.strip()
     if record.codec == GA:
-        res = ga_decode(record, table, args.role)
+        res = ga_decode(record, table, role_name)
         threshold = DEFAULT_GA_THRESHOLD if args.threshold is None else args.threshold
         below = abs(res.score) < threshold
         _emit(
             args,
-            {"role": args.role, "filler": res.filler, "score": res.score,
+            {"role": role_name, "filler": res.filler, "score": res.score,
              "ambiguous": res.ambiguous, "residual_terms": res.residual_terms,
              "below_threshold": below},
-            f"role={args.role} filler={res.filler} score={res.score:g} "
+            f"role={role_name} filler={res.filler} score={res.score:g} "
             f"ambiguous={'yes' if res.ambiguous else 'no'} "
             f"residual-terms={res.residual_terms} "
             f"below-threshold={'yes' if below else 'no'}",
         )
     else:
-        role = _resolve(table.roles, args.role, "role")
+        role = _resolve(table.roles, role_name, "role")
         memory = CleanupMemory.from_table(table, "hamming")
         res = classic_decode(record.bits, role, memory)
         below = args.threshold is not None and res.distance > args.threshold
         _emit(
             args,
-            {"role": args.role, "filler": res.filler, "distance": res.distance,
+            {"role": role_name, "filler": res.filler, "distance": res.distance,
              "ambiguous": res.ambiguous, "below_threshold": below},
-            f"role={args.role} filler={res.filler} distance={res.distance} "
+            f"role={role_name} filler={res.filler} distance={res.distance} "
             f"ambiguous={'yes' if res.ambiguous else 'no'}"
             + (" below-threshold=yes" if below else ""),
         )

@@ -112,6 +112,10 @@ class SymbolTable(_JsonFile):
     value -> name index of every symbol for the GA clean-up, and the
     classic clean-up memory is a live view of `fillers`, so a later
     change to either mapping would go unchecked and leave the index stale.
+    The same pass keeps what the GA decode would otherwise recompute per
+    call: the support filter (the lowest min(n - k, 30) machine bits,
+    where no filler has a set bit) and the (name, blade) of the smallest
+    filler, its answer when no filler scores.
     """
 
     def __init__(self, n: int, k: int, roles: dict, fillers: dict):
@@ -123,6 +127,7 @@ class SymbolTable(_JsonFile):
                 f"names used as both role and filler: {_shorten(repr(sorted(overlap)))}"
             )
         names: dict[int, str] = {}
+        smallest = None
         for kind, mapping in (("role", roles), ("filler", fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
@@ -140,10 +145,15 @@ class SymbolTable(_JsonFile):
                     )
                 if not blade.value:
                     raise ValueError(f"{kind} {_shorten(repr(name))} is the all-zero string")
-                # bits beyond position k sit below machine bit n - k: the
-                # lowest set bit tells, with no n-bit mask to build
-                if kind == "filler" and (blade.value & -blade.value).bit_length() <= n - k:
-                    raise ValueError(f"filler {_shorten(repr(name))} has bits beyond position {k}")
+                if kind == "filler":
+                    # bits beyond position k sit below machine bit n - k: the
+                    # lowest set bit tells, with no n-bit mask to build
+                    if (blade.value & -blade.value).bit_length() <= n - k:
+                        raise ValueError(
+                            f"filler {_shorten(repr(name))} has bits beyond position {k}"
+                        )
+                    if smallest is None or blade.value < smallest[1].value:
+                        smallest = (name, blade)
                 if blade.value in names:
                     raise ValueError(
                         f"{kind} {_shorten(repr(name))} collides with "
@@ -151,6 +161,8 @@ class SymbolTable(_JsonFile):
                     )
                 names[blade.value] = name
         self.n, self.k, self.roles, self.fillers, self._names = n, k, roles, fillers, names
+        self._off_support = (1 << min(n - k, 30)) - 1
+        self._smallest_filler = smallest
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolTable) and (
@@ -362,27 +374,32 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     is projective, a global sign carries no information).  Exact score
     ties go to the lexicographically smallest blade and are flagged
     ambiguous.  When no filler is present, every filler scores 0: the
-    smallest blade wins, ambiguous unless it is the only filler.
+    table's smallest filler wins, ambiguous unless it is the only one.
     """
     if record.codec != GA:
         raise ValueError(f"ga_decode on a {record.codec!r} record")
-    role = _resolve(table.roles, role_name, "role")
-    if not table.fillers:
+    roles = table.roles
+    role = roles.get(role_name) or _resolve(roles, role_name, "role")
+    fillers = table.fillers
+    if not fillers:
         raise ValueError("clean-up memory is empty")
-    _check_dims(role, record.payload)
+    payload = record.payload
+    if role.n != payload.n:
+        _check_dims(role, payload)
     r = role.value
+    terms = payload._terms
 
     # every filler is zero beyond position k, i.e. in its lowest n - k
     # machine bits, so v ^ r names none unless v agrees with r there;
     # testing at most 30 of them reads one int digit, where the name
     # lookup hashes all n bits (an int never caches its hash)
-    off_support = (1 << min(table.n - table.k, 30)) - 1
+    off_support = table._off_support
     r_off = r & off_support
-    names, fillers = table._names, table.fillers
+    names = table._names
     best_abs = 0.0
     winner = None
     ambiguous = False
-    for v, c in record.payload._terms.items():
+    for v, c in terms.items():
         if v & off_support != r_off:
             continue
         name = names.get(v ^ r)
@@ -399,14 +416,11 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
             if filler.value < winner[1].value:
                 winner = (name, filler, s)
     if winner is None:
-        name, blade = min(fillers.items(), key=lambda kv: kv[1].value)
-        winner = (name, blade, 0.0)
-        ambiguous = len(fillers) > 1
+        name, blade = table._smallest_filler
+        return GaDecodeResult(name, blade, 0.0, len(fillers) > 1, len(terms))
+    # a winner scores above 0, so its own term is not residual
     name, blade, score = winner
-    return GaDecodeResult(
-        filler=name, blade=blade, score=score, ambiguous=ambiguous,
-        residual_terms=len(record.payload) - (score != 0.0),
-    )
+    return GaDecodeResult(name, blade, score, ambiguous, len(terms) - 1)
 
 
 def _resolve(mapping: dict, name: str, kind: str) -> BladeIndex:

@@ -206,6 +206,27 @@ def test_decode_unknown_role(capsys, tmp_path):
     assert rc == 2 and "unknown role" in err
 
 
+@pytest.mark.parametrize("codec", ["ga", "classic"])
+def test_decode_role_is_stripped_like_a_pairs_name(capsys, tmp_path, codec):
+    # encode --pairs " name = Pat " reads role "name"; decode --role must too
+    table = gen_table(capsys, tmp_path)
+    record = tmp_path / "record.json"
+    rc, _, _ = run(capsys, "encode", "--in", str(table), "--codec", codec,
+                   "--pairs", " name = Pat ", "--out", str(record))
+    assert rc == 0
+    outputs = []
+    for role in ("name", " name", "name\t ", " name "):
+        rc, out, err = run(capsys, "decode", "--in", str(record), "--memory", str(table),
+                           "--role", role)
+        assert (rc, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0].startswith("role=name filler=Pat ")
+    assert outputs == [outputs[0]] * 4
+    rc, out, _ = run(capsys, "decode", "--in", str(record), "--memory", str(table),
+                     "--role", " name ", "--json")
+    assert rc == 0 and json.loads(out)["role"] == "name"
+
+
 def test_decode_rejects_a_nan_coefficient(capsys, tmp_path):
     table = gen_table(capsys, tmp_path)
     record = tmp_path / "record.json"

@@ -574,12 +574,12 @@ def test_ga_decode_tie_lexicographic():
 def test_ga_decode_rejects_mismatches():
     t = small_table()
     rec = ga_encode(t, [("name", "Pat")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown role 'nope'$"):
         ga_decode(rec, t, "nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ga_decode on a 'classic' record$"):
         ga_decode(classic_encode(t, [("name", "Pat")]), t, "name")
     other = gen_symbols(0, 8, 2, ["r"], ["f"])
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^operands .* algebras \(n=8 vs n=4\)$"):
         ga_decode(rec, other, "r")
     empty = SymbolTable(n=4, k=2, roles={"r": b("0010")}, fillers={})
     with pytest.raises(ValueError, match="clean-up memory is empty"):

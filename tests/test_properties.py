@@ -298,11 +298,29 @@ def test_ga_decode_matches_the_filler_scan_at_bind_stream_size():
     pairs = [(f"r{i}", f"f{rng.randrange(64)}") for i in rng.sample(range(64), 32)]
     weights = [rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in pairs]
     record = ga_encode(table, pairs, weights)
+    # the 32 roles left out of the record take the no-hit path
+    assert_decodes_like_the_scan(record, table)
     for (role, filler), w in zip(pairs, weights):
         res = ga_decode(record, table, role)
-        got = (res.filler, res.blade, res.score, res.ambiguous, res.residual_terms)
-        assert got == scan_every_filler(record, table, role)
         assert res.filler == filler and abs(res.score) == abs(w)
+
+
+def test_ga_decode_matches_the_filler_scan_at_wide_memory_size():
+    # the shape of the benchmark's cli-pipeline workload: n = 1024,
+    # k = 256 and 1,000 fillers; 8 of the 16 roles are absent from the record
+    rng = random.Random(1024)
+    table = gen_symbols(5, 1024, 256, [f"r{i}" for i in range(16)],
+                        [f"f{i}" for i in range(1000)])
+    pairs = [(f"r{i}", f"f{rng.randrange(1000)}") for i in rng.sample(range(16), 8)]
+    weights = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in pairs]
+    record = ga_encode(table, pairs, weights)
+    assert_decodes_like_the_scan(record, table)
+    absent = table.roles.keys() - dict(pairs)
+    smallest = min(table.fillers, key=lambda name: table.fillers[name].value)
+    for role in absent:
+        res = ga_decode(record, table, role)
+        assert (res.filler, res.score, res.ambiguous, res.residual_terms) == (
+            smallest, 0.0, True, 8)
 
 
 # --- the int-keyed core against the transposition sort -----------------------------
