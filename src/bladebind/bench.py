@@ -17,7 +17,7 @@ import random
 import time
 
 from .blades import BladeIndex, SignedBlade, geometric_product
-from .codec import ga_decode, ga_encode, gen_symbols
+from .codec import classic_encode, ga_decode, ga_encode, gen_symbols
 from .reference import product_sign_slow
 
 __all__ = [
@@ -91,6 +91,12 @@ def _codec_table(n: int, seed: int):
 
 
 def _bench_codec(table) -> dict:
+    """GA encode and decode of a 3-pair record, plus the two paths it misses.
+
+    A classic encode of the first two pairs is an even vote, so its
+    tie-coin fill runs; a GA decode of r3 from those two pairs finds no
+    filler and takes the no-hit path.
+    """
     pairs = [("r1", "f1"), ("r2", "f2"), ("r3", "f3")]
     reps = 100 if table.n <= 2048 else 10
 
@@ -104,12 +110,25 @@ def _bench_codec(table) -> dict:
         ga_decode(record, table, "r1")
     decode_elapsed = max(time.perf_counter() - t0, 1e-9)
 
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        classic_encode(table, pairs[:2])
+    classic_elapsed = max(time.perf_counter() - t0, 1e-9)
+
+    two_pairs = ga_encode(table, pairs[:2])
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        ga_decode(two_pairs, table, "r3")
+    absent_elapsed = max(time.perf_counter() - t0, 1e-9)
+
     return {
         "codec_k": table.k,
         "codec_pairs": len(pairs),
         "codec_reps": reps,
         "encode_ms": encode_elapsed / reps * 1e3,
         "decode_ms": decode_elapsed / reps * 1e3,
+        "classic_encode_ms": classic_elapsed / reps * 1e3,
+        "decode_absent_ms": absent_elapsed / reps * 1e3,
     }
 
 
@@ -146,7 +165,9 @@ def format_text(result: dict) -> str:
         )
         lines.append(
             f"    record codec (k={e['codec_k']}, {e['codec_pairs']} pairs): "
-            f"encode {e['encode_ms']:.3g} ms, decode {e['decode_ms']:.3g} ms"
+            f"encode {e['encode_ms']:.3g} ms, decode {e['decode_ms']:.3g} ms, "
+            f"classic encode (2 pairs) {e['classic_encode_ms']:.3g} ms, "
+            f"absent-role decode {e['decode_absent_ms']:.3g} ms"
         )
     if "passed" in result:
         lines.append(

@@ -23,6 +23,9 @@ Two interchangeable codings of the same record abstraction:
   compared against floor(m/2) with bitwise ops, so it needs no numpy
   and no per-position loop; the coins for exact ties come from one
   batched draw and are set into the tie positions by one bytes % pass.
+  One private vote over raw ints serves both callers: `majority_chunk`
+  unwraps its blades into it, and `classic_encode` feeds it each
+  pair's role.value ^ filler.value with no blade in between.
 
 Symbol tables draw roles over all nonzero n-bit strings and fillers
 over nonzero k-bit prefixes (remaining positions zero), so unbinding
@@ -436,28 +439,50 @@ def _resolve(mapping: dict, name: str, kind: str) -> BladeIndex:
 def majority_chunk(items, seed: int) -> BladeIndex:
     """Per-position majority vote; exact ties resolved by a seeded coin.
 
-    The per-position counts are kept bit-sliced: counters[j] holds bit j
-    of every position's count.  They come out of a carry-save adder
-    tree over whole bit strings: each full adder takes three values of
-    one weight and gives their sum bit at that weight and their carry
-    one weight up; two leftover values take a half adder, and the one
-    value left at a weight is that counter.  Comparing the counts
-    against floor(m/2) from the top counter down gives the "above" and
-    "equal" masks.  An exact tie (only possible for even m) takes one
-    coin from random.Random(seed) per tied position, in position order
-    from 1; `_coin_flips` draws them all at once and fills them into the
-    tie mask's digits in one pass.
+    Every item must have the first item's dimension.  `_majority` votes
+    on their bits; each item is checked as the vote unwraps it, after
+    the vote's own seed check, so a mixed list with a negative seed
+    still reports the seed.
+    """
+    n = None
+
+    def values():
+        nonlocal n
+        for b in items:
+            if n is None:
+                n = b.n
+            elif b.n != n:
+                raise ValueError(f"mixed dimensions in majority vote: {b.n} vs {n}")
+            yield b.value
+
+    bits = _majority(values(), seed)
+    # every item has n bits, so the vote does too
+    return BladeIndex._trusted(n, bits)
+
+
+def _majority(values, seed: int) -> int:
+    """The per-position majority vote over raw bit-string ints.
+
+    The seed and the list are checked before any coin is drawn.  The
+    per-position counts are kept bit-sliced: counters[j] holds bit j of
+    every position's count.  They come out of a carry-save adder tree
+    over whole bit strings: each full adder takes three values of one
+    weight and gives their sum bit at that weight and their carry one
+    weight up; two leftover values take a half adder, and the one value
+    left at a weight is that counter.  Comparing the counts against
+    floor(m/2) from the top counter down gives the "above" and "equal"
+    masks.  An exact tie (only possible for even m) takes one coin from
+    random.Random(seed) per tied position, in position order from 1;
+    `_coin_flips` draws them all at once and fills them into the tie
+    mask's digits in one pass.  The vote needs no width n: no count
+    has a bit above the items' top bit.
     """
     _check_seed(seed)
-    items = list(items)
-    if not items:
+    column = list(values)
+    if not column:
         raise ValueError("majority vote over an empty list")
-    n = items[0].n
-    for b in items:
-        if b.n != n:
-            raise ValueError(f"mixed dimensions in majority vote: {b.n} vs {n}")
+    m = len(column)
     counters: list[int] = []
-    column = [b.value for b in items]
     while column:
         carries = []
         while len(column) > 2:
@@ -471,10 +496,11 @@ def majority_chunk(items, seed: int) -> BladeIndex:
             carries.append(a & b)
         counters.append(column[0])
         column = carries
-    m = len(items)
     half = m // 2
     above = 0
-    equal = (1 << n) - 1
+    # all ones; for m >= 2 half has a set bit, and ANDing that weight's
+    # counter in cuts this to the items' width (for m = 1 it is unused)
+    equal = -1
     counters += [0] * (half.bit_length() - len(counters))
     for j in reversed(range(len(counters))):
         count_bit = counters[j]
@@ -484,9 +510,9 @@ def majority_chunk(items, seed: int) -> BladeIndex:
             above |= equal & count_bit
             equal &= ~count_bit
     if m % 2 == 0 and equal:
-        above |= _coin_flips(equal, n, seed)
-    # every item has n bits, so the vote does too
-    return BladeIndex._trusted(n, above)
+        # leading zeros would only pad the template with literal 0s
+        above |= _coin_flips(equal, equal.bit_length(), seed)
+    return above
 
 
 # byte -> "1" if its top bit is set, else "0"
@@ -514,16 +540,18 @@ def _coin_flips(ties: int, n: int, seed: int) -> int:
 def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
     """Bind each pair by XOR and chunk by majority vote.
 
-    The table holds every symbol at its dimension, so each bound item is
-    built unchecked; the vote is still `majority_chunk`'s.
+    The table holds every symbol at its dimension, so each pair binds
+    as the raw int role.value ^ filler.value and goes straight to the
+    vote `majority_chunk` runs, with no blade per pair and no second
+    dimension check.
     """
-    roles, fillers, n = table.roles, table.fillers, table.n
+    roles, fillers = table.roles, table.fillers
     bound = []
     for role_name, filler_name in pairs:
         role = roles.get(role_name) or _resolve(roles, role_name, "role")
         filler = fillers.get(filler_name) or _resolve(fillers, filler_name, "filler")
-        bound.append(BladeIndex._trusted(n, role.value ^ filler.value))
-    return EncodedRecord(CLASSIC, bits=majority_chunk(bound, seed))
+        bound.append(role.value ^ filler.value)
+    return EncodedRecord(CLASSIC, bits=BladeIndex._trusted(table.n, _majority(bound, seed)))
 
 
 ClassicDecodeResult = namedtuple("ClassicDecodeResult", "filler blade distance ambiguous")

@@ -17,6 +17,7 @@ from bladebind.codec import (
     SymbolTable,
     classic_decode,
     ga_decode,
+    ga_encode,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -651,7 +652,17 @@ def test_bench_small_smoke(capsys):
     result = json.loads(out)
     assert result["sizes"][0]["n"] == 64
     assert "passed" not in result  # no assertion gate away from n=10000
+    for key in ("classic_encode_ms", "decode_absent_ms"):
+        assert result["sizes"][0][key] > 0
+    text = bench.format_text(result)
+    assert "classic encode (2 pairs) " in text and "absent-role decode " in text
     assert elapsed < 1.0
+
+
+def test_bench_absent_role_decode_takes_the_no_hit_path():
+    table = bench._codec_table(64, 0)
+    record = ga_encode(table, [("r1", "f1"), ("r2", "f2")])
+    assert ga_decode(record, table, "r3").score == 0.0
 
 
 def test_bench_deterministic_op_counts(capsys):

@@ -92,6 +92,7 @@ def test_gen_symbols_rejects_a_negative_seed_before_drawing(monkeypatch):
 @pytest.mark.parametrize("items", [
     pytest.param(["1100", "0011"], id="every-position-ties"),
     pytest.param(["1100", "1010", "1001"], id="no-ties"),
+    pytest.param(["10", "100"], id="mixed-dimensions"),
 ])
 def test_majority_chunk_rejects_a_negative_seed_before_drawing(monkeypatch, items):
     monkeypatch.setattr(codec.random, "Random", no_draws)
@@ -99,9 +100,14 @@ def test_majority_chunk_rejects_a_negative_seed_before_drawing(monkeypatch, item
         majority_chunk([b(bits) for bits in items], seed=-5)
 
 
-def test_classic_encode_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        classic_encode(small_table(), [("name", "Pat"), ("sex", "male")], -5)
+def test_classic_encode_rejects_a_negative_seed(monkeypatch):
+    table = small_table()
+    monkeypatch.setattr(codec.random, "Random", no_draws)
+    # two pairs make an even vote whose ties would draw coins, and an
+    # empty pair list still reports the seed first
+    for pairs in ([("name", "Pat"), ("sex", "male")], []):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            classic_encode(table, pairs, -5)
 
 
 def test_symbol_table_validation():
@@ -372,10 +378,14 @@ def test_classic_single_pair_round_trip():
     assert res.filler == "Pat" and res.distance == 0 and not res.ambiguous
 
 
-@pytest.mark.parametrize("n, k, m", [(10_000, 2500, 32), (10_000, 2500, 31), (1024, 256, 8)])
+@pytest.mark.parametrize(
+    "n, k, m",
+    [(10_000, 2500, 32), (10_000, 2500, 31), (1024, 256, 8), (64, 16, 1), (64, 16, 2)],
+)
 def test_classic_encode_matches_the_checked_bind_route(n, k, m):
-    # classic_encode binds without the checks of ^; the public route is
-    # the checked XOR of each pair, then the same vote
+    # classic_encode votes on raw ints, without the checks of ^; the
+    # public route is the checked XOR of each pair, then majority_chunk.
+    # m = 1 takes no vote, and at m = 2 every differing position ties.
     roles = [f"r{i}" for i in range(m)]
     fillers = [f"f{i}" for i in range(16)]
     table = gen_symbols(n + m, n, k, roles, fillers)
