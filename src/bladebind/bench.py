@@ -17,7 +17,7 @@ import random
 import time
 
 from .blades import BladeIndex, SignedBlade, geometric_product
-from .codec import classic_encode, ga_decode, ga_encode, gen_symbols
+from .codec import CleanupMemory, classic_decode, classic_encode, ga_decode, ga_encode, gen_symbols
 from .reference import product_sign_slow
 
 __all__ = [
@@ -91,11 +91,12 @@ def _codec_table(n: int, seed: int):
 
 
 def _bench_codec(table) -> dict:
-    """GA encode and decode of a 3-pair record, plus the two paths it misses.
+    """GA encode and decode of a 3-pair record, plus the paths it misses.
 
     A classic encode of the first two pairs is an even vote, so its
-    tie-coin fill runs; a GA decode of r3 from those two pairs finds no
-    filler and takes the no-hit path.
+    tie-coin fill runs, and a classic decode of r1 from that record scans
+    the table's filler column; a GA decode of r3 from those two pairs
+    finds no filler and takes the no-hit path.
     """
     pairs = [("r1", "f1"), ("r2", "f2"), ("r3", "f3")]
     reps = 100 if table.n <= 2048 else 10
@@ -112,8 +113,15 @@ def _bench_codec(table) -> dict:
 
     t0 = time.perf_counter()
     for _ in range(reps):
-        classic_encode(table, pairs[:2])
+        classic_record = classic_encode(table, pairs[:2])
     classic_elapsed = max(time.perf_counter() - t0, 1e-9)
+
+    memory = CleanupMemory.from_table(table, "hamming")
+    role = table.roles["r1"]
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        classic_decode(classic_record.bits, role, memory)
+    classic_decode_elapsed = max(time.perf_counter() - t0, 1e-9)
 
     two_pairs = ga_encode(table, pairs[:2])
     t0 = time.perf_counter()
@@ -128,6 +136,7 @@ def _bench_codec(table) -> dict:
         "encode_ms": encode_elapsed / reps * 1e3,
         "decode_ms": decode_elapsed / reps * 1e3,
         "classic_encode_ms": classic_elapsed / reps * 1e3,
+        "classic_decode_ms": classic_decode_elapsed / reps * 1e3,
         "decode_absent_ms": absent_elapsed / reps * 1e3,
     }
 
@@ -167,6 +176,7 @@ def format_text(result: dict) -> str:
             f"    record codec (k={e['codec_k']}, {e['codec_pairs']} pairs): "
             f"encode {e['encode_ms']:.3g} ms, decode {e['decode_ms']:.3g} ms, "
             f"classic encode (2 pairs) {e['classic_encode_ms']:.3g} ms, "
+            f"classic decode {e['classic_decode_ms']:.3g} ms, "
             f"absent-role decode {e['decode_absent_ms']:.3g} ms"
         )
     if "passed" in result:

@@ -17,6 +17,9 @@ Two interchangeable codings of the same record abstraction:
   record, whatever the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
+  The table keeps its fillers' raw ints as one column, so the clean-up
+  scan is one XOR, one popcount and one compare per filler, with no
+  blade unpacked until the winner is known.
   The vote is bit-sliced over the int bit strings: per-position counts
   are kept as a few big-int counters (counters[j] holds bit j of every
   count), summed by a carry-save tree of XOR/AND/OR full adders and
@@ -113,8 +116,9 @@ class SymbolTable(_JsonFile):
     "role=filler,..." list spells every pair.  Treat the mappings as
     read-only: they are validated once, here.  Validation also keeps a
     value -> name index of every symbol for the GA clean-up, and the
-    classic clean-up memory is a live view of `fillers`, so a later
-    change to either mapping would go unchecked and leave the index stale.
+    classic clean-up memory: the (name, blade) pairs of `fillers` and
+    their raw ints as one column, in table order.  A later change to
+    either mapping would go unchecked and leave both stale.
     The same pass keeps what the GA decode would otherwise recompute per
     call: the support filter (the lowest min(n - k, 30) machine bits,
     where no filler has a set bit) and the (name, blade) of the smallest
@@ -131,6 +135,7 @@ class SymbolTable(_JsonFile):
             )
         names: dict[int, str] = {}
         smallest = None
+        entries, values = [], []
         for kind, mapping in (("role", roles), ("filler", fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
@@ -157,6 +162,8 @@ class SymbolTable(_JsonFile):
                         )
                     if smallest is None or blade.value < smallest[1].value:
                         smallest = (name, blade)
+                    entries.append((name, blade))
+                    values.append(blade.value)
                 if blade.value in names:
                     raise ValueError(
                         f"{kind} {_shorten(repr(name))} collides with "
@@ -166,6 +173,8 @@ class SymbolTable(_JsonFile):
         self.n, self.k, self.roles, self.fillers, self._names = n, k, roles, fillers, names
         self._off_support = (1 << min(n - k, 30)) - 1
         self._smallest_filler = smallest
+        # every filler has dimension n: _make skips the memory's own check
+        self._memory = CleanupMemory._make((tuple(entries), tuple(values)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolTable) and (
@@ -310,22 +319,29 @@ class EncodedRecord(_JsonFile):
         return cls(codec)
 
 
-class CleanupMemory(namedtuple("CleanupMemory", "entries")):
+class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
     """The classic Hamming item memory: named fillers, nearest bit distance wins.
 
-    entries is a collection of (name, blade) pairs; from_table gives a
-    view of the table's fillers, not a copy.  classic_decode checks each
-    entry's dimension against the record as it measures the distance.
+    entries is a tuple of (name, blade) pairs of one dimension, and
+    values holds their raw ints in the same order: the column that
+    classic_decode scans.  CleanupMemory(entries) takes any iterable of
+    pairs and checks their dimension once, here.
     """
 
     __slots__ = ()
 
+    def __new__(cls, entries) -> "CleanupMemory":
+        entries = tuple(entries)
+        for _, blade in entries[1:]:
+            _check_dims(entries[0][1], blade)
+        return super().__new__(cls, entries, tuple(blade.value for _, blade in entries))
+
     @classmethod
     def from_table(cls, table: SymbolTable, metric: str) -> "CleanupMemory":
-        """The table's fillers as a memory; "hamming" is the only metric."""
+        """The memory the table keeps; "hamming" is the only metric."""
         if metric != "hamming":
             raise ValueError(f"unknown clean-up metric {metric!r}")
-        return cls(entries=table.fillers.items())
+        return table._memory
 
 
 # --- GA codec ------------------------------------------------------------------
@@ -336,8 +352,12 @@ def ga_encode(table: SymbolTable, pairs, weights=None) -> EncodedRecord:
 
     Terms landing on the same blade add; with clashing weights they can
     cancel destructively, which is reported faithfully rather than
-    repaired (small dimensions make such collisions likely).
+    repaired (small dimensions make such collisions likely).  weights
+    is None (all 1.0) or one number per pair; a string would iterate as
+    its characters, so it is refused before any pair is read.
     """
+    if isinstance(weights, (str, bytes, bytearray)):
+        raise TypeError(f"weights must be numbers, not a {type(weights).__name__}")
     pairs = list(pairs)
     if weights is None:
         weights = [1.0] * len(pairs)
@@ -563,29 +583,31 @@ def classic_decode(
     """XOR the role back out and return the nearest memory entry.
 
     Ties go to the lexicographically smallest blade and are flagged.
-    The distance is `hamming` written out in the loop: one XOR and one
-    popcount per entry, with no call.
+    The memory holds one dimension, so the record is checked against
+    it once; the scan then reads the column of raw ints alone, with the
+    distance `hamming` written out: one XOR, one popcount and one
+    compare per entry.  The winner's value names its entry, the first
+    one when a blade is listed under two names.
     """
-    if not memory.entries:
+    entries, values = memory
+    if not entries:
         raise ValueError("clean-up memory is empty")
     unbound = record_bits ^ role
-    n, u = unbound.n, unbound.value
-    best_d = n + 1  # farther than any entry
+    _check_dims(unbound, entries[0][1])
+    u = unbound.value
+    best_d = unbound.n + 1  # farther than any entry
     ambiguous = False
-    for name, blade in memory.entries:
-        if blade.n != n:
-            _check_dims(unbound, blade)
-        d = (u ^ blade.value).bit_count()
-        if d < best_d:
-            best_d, best = d, (name, blade)
-            ambiguous = False
-        elif d == best_d:
-            ambiguous = True
-            if blade.value < best[1].value:
-                best = (name, blade)
-    return ClassicDecodeResult(
-        filler=best[0], blade=best[1], distance=best_d, ambiguous=ambiguous
-    )
+    for v in values:
+        d = (u ^ v).bit_count()
+        if d <= best_d:
+            if d < best_d:
+                best_d, best, ambiguous = d, v, False
+            else:
+                ambiguous = True
+                if v < best:
+                    best = v
+    name, blade = entries[values.index(best)]
+    return ClassicDecodeResult(filler=name, blade=blade, distance=best_d, ambiguous=ambiguous)
 
 
 def hamming(a: BladeIndex, b: BladeIndex) -> int:

@@ -652,10 +652,11 @@ def test_bench_small_smoke(capsys):
     result = json.loads(out)
     assert result["sizes"][0]["n"] == 64
     assert "passed" not in result  # no assertion gate away from n=10000
-    for key in ("classic_encode_ms", "decode_absent_ms"):
+    for key in ("classic_encode_ms", "classic_decode_ms", "decode_absent_ms"):
         assert result["sizes"][0][key] > 0
     text = bench.format_text(result)
-    assert "classic encode (2 pairs) " in text and "absent-role decode " in text
+    for label in ("classic encode (2 pairs) ", "classic decode ", "absent-role decode "):
+        assert label in text
     assert elapsed < 1.0
 
 

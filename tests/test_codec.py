@@ -238,11 +238,19 @@ def test_record_malformed_json():
 def test_cleanup_memory_validation():
     with pytest.raises(ValueError, match="unknown clean-up metric"):
         CleanupMemory.from_table(small_table(), "similarity")
-    with pytest.raises(ValueError):  # mixed dimensions, found by the decode
-        mixed = CleanupMemory(entries=(("f", b("1100")), ("g", b("110"))))
-        classic_decode(b("1000"), BladeIndex(4, 0), mixed)
+    with pytest.raises(ValueError):  # mixed dimensions, found when it is built
+        CleanupMemory(entries=(("f", b("1100")), ("g", b("110"))))
     mem = CleanupMemory.from_table(small_table(), "hamming")
     assert len(mem.entries) == 3
+
+
+def test_table_keeps_one_memory_with_its_filler_column():
+    t = small_table()
+    mem = CleanupMemory.from_table(t, "hamming")
+    assert CleanupMemory.from_table(t, "hamming") is mem
+    assert mem.entries == tuple(t.fillers.items())
+    assert mem.values == (0b1100, 0b1000, 0b0100)  # Pat, male, 66: table order
+    assert mem == CleanupMemory(t.fillers.items())
 
 
 # --- classic codec ---------------------------------------------------------------
@@ -467,9 +475,28 @@ def test_classic_decode_matches_a_full_distance_scan(n):
     ],
     ids=["mismatch-first", "mismatch-last"],
 )
-def test_mixed_dimension_memory_fails_at_decode(entries):
+def test_mixed_dimension_memory_is_rejected_when_built(entries):
     with pytest.raises(DimensionMismatch):
-        classic_decode(b("1000"), BladeIndex(4, 0), CleanupMemory(entries))
+        CleanupMemory(entries)
+
+
+def test_classic_decode_checks_the_record_against_the_memory():
+    # the one dimension check left in each decode, after the empty
+    # memory and the record against the role
+    mem = CleanupMemory((("f", b("110")), ("g", b("011"))))
+    with pytest.raises(DimensionMismatch, match=r"n=4 vs n=3"):
+        classic_decode(b("1000"), BladeIndex(4, 0), mem)
+    with pytest.raises(DimensionMismatch, match=r"n=4 vs n=5"):
+        classic_decode(b("1000"), BladeIndex(5, 0), mem)
+    with pytest.raises(ValueError, match="empty"):
+        classic_decode(b("1000"), BladeIndex(5, 0), CleanupMemory(()))
+
+
+def test_classic_decode_names_a_blade_listed_twice_by_its_first_name():
+    mem = CleanupMemory((("far", b("0011")), ("first", b("1100")), ("second", b("1100"))))
+    res = classic_decode(b("1000"), BladeIndex(4, 0), mem)
+    assert (res.filler, res.blade, res.ambiguous) == ("first", b("1100"), True)
+    assert res.distance == hamming(b("1000"), b("1100")) == 1
 
 
 def test_classic_decode_needs_hamming_memory():
@@ -514,6 +541,15 @@ def test_ga_encode_weight_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="not finite"):
             ga_encode(t, [("name", "Pat"), ("sex", "male")], [1.0, bad])
+
+
+@pytest.mark.parametrize("weights", ["235", b"235"], ids=["str", "bytes"])
+def test_ga_encode_refuses_weights_spelled_as_a_string(weights):
+    # iterated, "235" would weigh 2, 3, 5 and b"235" 50, 51, 53; the
+    # unknown names show that no pair is resolved before the refusal
+    pairs = [("nobody", "Pat"), ("sex", "nobody"), ("age", "66")]
+    with pytest.raises(TypeError, match=f"not a {type(weights).__name__}"):
+        ga_encode(small_table(), pairs, weights)
 
 
 def test_ga_encode_drops_zero_sums_and_rejects_overflowing_ones():
