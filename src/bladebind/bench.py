@@ -3,8 +3,10 @@
 Products are timed over a fixed pool of random blades, the way a
 record workload reuses its role and filler symbols; the first pass over
 the pool pays the one-off prefix-scan cost, everything after it is one
-AND plus one popcount per product.  The quadratic reference from
-`reference` is timed on the same inputs to report the speedup.
+AND plus one popcount per product.  The same index pairs then time the
+bare sign kernel `product_sign`, so the product's wrapper objects show
+as the difference.  The quadratic reference from `reference` is timed
+on the same inputs to report the speedup.
 
 Operation counts are pure functions of the flags, and the drawn inputs
 are pure functions of the seed, so two runs with identical arguments
@@ -13,10 +15,12 @@ perform identical work (wall-clock noise aside).
 
 from __future__ import annotations
 
+import json
 import random
 import time
+import zlib
 
-from .blades import BladeIndex, SignedBlade, geometric_product
+from .blades import BladeIndex, SignedBlade, geometric_product, product_sign
 from .codec import CleanupMemory, classic_decode, classic_encode, ga_decode, ga_encode, gen_symbols
 from .reference import product_sign_slow
 
@@ -66,6 +70,12 @@ def _bench_products(n: int, seed: int) -> dict:
         geometric_product(pool[i], pool[j])
     kernel_elapsed = max(time.perf_counter() - t0, 1e-9)
 
+    indexes = [blade.index for blade in pool]
+    t0 = time.perf_counter()
+    for i, j in index_pairs:
+        product_sign(indexes[i], indexes[j])
+    sign_elapsed = max(time.perf_counter() - t0, 1e-9)
+
     ref_count = _reference_count(n)
     t0 = time.perf_counter()
     for i, j in index_pairs[:ref_count]:
@@ -81,6 +91,7 @@ def _bench_products(n: int, seed: int) -> dict:
         "index_checksum": sum((i + 1) * (j + 13) for i, j in index_pairs),
         "kernel_us_per_product": kernel_per_product * 1e6,
         "products_per_second": 1.0 / kernel_per_product,
+        "sign_us_per_call": sign_elapsed / count * 1e6,
         "reference_us_per_product": ref_per_product * 1e6,
         "speedup": ref_per_product / kernel_per_product,
     }
@@ -131,6 +142,9 @@ def _bench_codec(table) -> dict:
 
     return {
         "codec_k": table.k,
+        "codec_fillers": len(table.fillers),
+        # the table's JSON content, so two runs can tell they timed one table
+        "codec_symbols_crc32": zlib.crc32(json.dumps(table.to_json()).encode()),
         "codec_pairs": len(pairs),
         "codec_reps": reps,
         "encode_ms": encode_elapsed / reps * 1e3,
@@ -169,11 +183,13 @@ def format_text(result: dict) -> str:
         lines.append(
             f"n={e['n']}: kernel {e['kernel_us_per_product']:.3g} us/product "
             f"({e['products_per_second']:.3g} products/s), "
+            f"sign {e['sign_us_per_call']:.3g} us/call, "
             f"reference {e['reference_us_per_product']:.3g} us/product, "
             f"speedup {e['speedup']:.3g}x"
         )
         lines.append(
-            f"    record codec (k={e['codec_k']}, {e['codec_pairs']} pairs): "
+            f"    record codec (k={e['codec_k']}, {e['codec_fillers']} fillers, "
+            f"symbols crc32 {e['codec_symbols_crc32']:08x}, {e['codec_pairs']} pairs): "
             f"encode {e['encode_ms']:.3g} ms, decode {e['decode_ms']:.3g} ms, "
             f"classic encode (2 pairs) {e['classic_encode_ms']:.3g} ms, "
             f"classic decode {e['classic_decode_ms']:.3g} ms, "

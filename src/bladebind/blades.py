@@ -301,13 +301,15 @@ def _prefix_parity(value: int, n: int) -> int:
     """Int whose machine bit j holds the parity of value's bits below j.
 
     A shift-XOR prefix scan: log n big-int ops, each O(n/w) machine
-    words.  Bits above n may be set; the AND in `_masked_sign` drops them.
+    words.  The scan runs up to n plus the next power of two of bits;
+    one AND cuts it to the n bits `product_sign` and `Multivector.gp`
+    read, so a cached mask costs no more than its blade.
     """
     shift = 1
     while shift < n:
         value ^= value << shift
         shift <<= 1
-    return value << 1
+    return value << 1 & (1 << n) - 1
 
 
 def _masked_sign(b: int, mask: int) -> int:

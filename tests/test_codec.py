@@ -516,6 +516,105 @@ def test_classic_three_pair_retrieval_smoke():
     assert hits == 90
 
 
+# --- classic clean-up on bit planes -------------------------------------------------
+
+
+def scan_nearest(unbound, memory):
+    """The full `hamming` scan: (filler, blade, distance, ambiguous).
+
+    Nearest wins, then the smallest blade, then the first name.
+    """
+    ranked = sorted(
+        (hamming(unbound, blade), blade.value, i) for i, (_, blade) in enumerate(memory.entries)
+    )
+    distance, _, i = ranked[0]
+    name, blade = memory.entries[i]
+    return name, blade, distance, len(ranked) > 1 and ranked[1][0] == distance
+
+
+def assert_decodes_match_the_scan(records, roles, memory):
+    for bits in records:
+        for role in roles:
+            res = classic_decode(bits, role, memory)
+            assert tuple(res) == scan_nearest(bits ^ role, memory)
+
+
+@pytest.mark.parametrize("n, k, fillers", [(1024, 256, 2000), (40, 10, 300)])
+def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers):
+    table = gen_symbols(n, n, k, [f"r{i}" for i in range(4)], [f"f{i}" for i in range(fillers)])
+    memory = CleanupMemory.from_table(table, "hamming")
+    rng = random.Random(k)
+    names = list(table.fillers)
+    records = [
+        classic_encode(table, [(role, rng.choice(names)) for role in table.roles], seed).bits
+        for seed in range(3)
+    ] + [BladeIndex(n, rng.getrandbits(n)) for _ in range(3)]
+    assert "planes" not in vars(memory)
+    # the first decode scans; the second builds the planes, and the rest count on them
+    assert_decodes_match_the_scan(records, table.roles.values(), memory)
+    shift, planes = vars(memory)["planes"]
+    assert (shift, len(planes)) == (n - k, k)
+
+
+def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules():
+    # ints that use bit 0 and bit n - 1 (shift 0, width n), one blade
+    # under two names and, over every possible record, every kind of tie
+    n = 10
+    rng = random.Random(3)
+    # the larger of the two blades one flip from 0b111 is listed first
+    values = [0b1000000001, 0b0000000101, 0b0000000011]
+    values += [
+        v for v in rng.sample(range(8, 1 << n), 40) if min((v ^ w).bit_count() for w in values) > 1
+    ][:30]
+    entries = [(f"f{i}", BladeIndex(n, v)) for i, v in enumerate(values)]
+    entries += [("twin", entries[0][1])]  # listed after its first name
+    memory = CleanupMemory(entries)
+    assert len(memory.values) >= 3 * n
+    records = [BladeIndex(n, v) for v in range(1 << n)]
+    assert_decodes_match_the_scan(records, [BladeIndex(n, 0)], memory)
+    assert vars(memory)["planes"][0] == 0
+    res = classic_decode(BladeIndex(n, 0b1000000001), BladeIndex(n, 0), memory)
+    assert (res.filler, res.distance, res.ambiguous) == ("f0", 0, True)
+    res = classic_decode(BladeIndex(n, 0b0000000111), BladeIndex(n, 0), memory)
+    assert (res.filler, res.distance, res.ambiguous) == ("f2", 1, True)
+
+
+def test_classic_decode_on_planes_counts_record_bits_outside_them():
+    # fillers in machine bits 4..9 of 16; the records set bits above
+    # the memory's top bit and below its lowest one
+    n = 16
+    memory = CleanupMemory((f"f{v}", BladeIndex(n, v << 4)) for v in range(1, 64, 2))
+    role = BladeIndex(n, 0)
+    records = [BladeIndex(n, v) for v in (0b1111_000000_1111, 0b1000_010101_0001, 0x03F0, 0xFFFF)]
+    assert_decodes_match_the_scan(records, [role, BladeIndex(n, 0b1100_000000_0011)], memory)
+    assert vars(memory)["planes"][0] == 4
+    res = classic_decode(BladeIndex(n, 0b1111_000001_1111), role, memory)
+    assert (res.filler, res.distance) == ("f1", 8)
+
+
+def test_a_memory_of_scalar_blades_keeps_the_scan():
+    # the OR of its ints is 0: no support to slice, however many entries
+    memory = CleanupMemory((name, BladeIndex(4, 0)) for name in "abc")
+    for _ in range(3):
+        res = classic_decode(b("1000"), BladeIndex(4, 0), memory)
+        assert (res.filler, res.distance, res.ambiguous) == ("a", 1, True)
+    assert vars(memory)["planes"] is None
+
+
+def test_only_a_wide_memory_keeps_planes():
+    # bind-stream's shape keeps the scan; wide-memory's counts on planes
+    # from its second decode, and a memory decoded once builds nothing
+    for n, k, fillers, wide in ((10_000, 2500, 64, False), (1024, 256, 2000, True)):
+        table = gen_symbols(1, n, k, ["r"], [f"f{i}" for i in range(fillers)])
+        memory = CleanupMemory.from_table(table, "hamming")
+        record = classic_encode(table, [("r", "f7")]).bits
+        classic_decode(record, table.roles["r"], memory)
+        assert "planes" not in vars(memory)
+        for _ in range(3):
+            assert classic_decode(record, table.roles["r"], memory).filler == "f7"
+        assert (vars(memory)["planes"] is not None) == wide
+
+
 # --- GA codec ----------------------------------------------------------------
 
 

@@ -421,6 +421,49 @@ def test_classic_decode_matches_the_distance_scan_on_crowded_tables(table, data)
         )
 
 
+@st.composite
+def wide_tables(draw):
+    """Tables with at least three fillers per filler bit.
+
+    From its second decode, classic_decode counts such a memory on bit
+    planes; a crowded table, with at most 12 fillers, is never that wide.
+    """
+    k = draw(st.integers(4, 6))
+    n = draw(st.integers(k, 16))
+    count = draw(st.integers(3 * k, min(3 * k + 8, (1 << k) - 1)))
+    filler_values = draw(st.permutations(range(1, 1 << k)))[:count]
+    fillers = {f"f{i}": BladeIndex(n, v << (n - k)) for i, v in enumerate(filler_values)}
+    taken = {b.value for b in fillers.values()}
+    role_values = draw(
+        st.lists(
+            st.integers(1, (1 << n) - 1).filter(lambda v: v not in taken),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    roles = {f"r{i}": BladeIndex(n, v) for i, v in enumerate(role_values)}
+    return SymbolTable(n=n, k=k, roles=roles, fillers=fillers)
+
+
+@given(wide_tables(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_classic_decode_on_planes_matches_the_distance_scan(table, data):
+    pairs = draw_pairs(data, table, 6, min_pairs=1)
+    records = [
+        classic_encode(table, pairs, data.draw(st.integers(0, 2**32 - 1))).bits,
+        BladeIndex(table.n, data.draw(st.integers(0, (1 << table.n) - 1))),
+    ]
+    memory = CleanupMemory.from_table(table, "hamming")
+    for bits in records:
+        for role in table.roles.values():
+            res = classic_decode(bits, role, memory)
+            assert (res.filler, res.blade, res.distance, res.ambiguous) == nearest_by_scan(
+                bits.value ^ role.value, table
+            )
+    assert vars(memory)["planes"] is not None
+
+
 # --- classic majority vote against two independent votes ---------------------------
 
 
