@@ -139,7 +139,6 @@ class SymbolTable(_JsonFile):
                 f"names used as both role and filler: {_shorten(repr(sorted(overlap)))}"
             )
         names: dict[int, str] = {}
-        smallest = None
         entries, values = [], []
         for kind, mapping in (("role", roles), ("filler", fillers)):
             for name, blade in mapping.items():
@@ -165,8 +164,6 @@ class SymbolTable(_JsonFile):
                         raise ValueError(
                             f"filler {_shorten(repr(name))} has bits beyond position {k}"
                         )
-                    if smallest is None or blade.value < smallest[1].value:
-                        smallest = (name, blade)
                     entries.append((name, blade))
                     values.append(blade.value)
                 if blade.value in names:
@@ -177,9 +174,8 @@ class SymbolTable(_JsonFile):
                 names[blade.value] = name
         self.n, self.k, self.roles, self.fillers, self._names = n, k, roles, fillers, names
         self._off_support = (1 << min(n - k, 30)) - 1
-        self._smallest_filler = smallest
-        # every filler has dimension n: _make skips the memory's own check
-        self._memory = CleanupMemory._make((tuple(entries), tuple(values)))
+        self._smallest_filler = entries[values.index(min(values))] if values else None
+        self._memory = CleanupMemory(tuple(entries), tuple(values))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolTable) and (
@@ -327,10 +323,10 @@ class EncodedRecord(_JsonFile):
 class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
     """The classic Hamming item memory: named fillers, nearest bit distance wins.
 
-    entries is a tuple of (name, blade) pairs of one dimension, and
+    entries is a tuple of the table's (name, blade) filler pairs, and
     values holds their raw ints in the same order: the column that
-    classic_decode scans.  CleanupMemory(entries) takes any iterable of
-    pairs and checks their dimension once, here.
+    classic_decode scans.  `SymbolTable` builds the one memory of its
+    fillers in its validation pass, and `from_table` returns it.
 
     A memory holding at least _PLANE_FILLERS_PER_BIT entries per bit of
     its support (the span of the OR of its ints) is wide.  On its
@@ -341,12 +337,6 @@ class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
     """
 
     # no __slots__: the instance dict keeps what `_planes` builds
-
-    def __new__(cls, entries) -> "CleanupMemory":
-        entries = tuple(entries)
-        for _, blade in entries[1:]:
-            _check_dims(entries[0][1], blade)
-        return super().__new__(cls, entries, tuple(blade.value for _, blade in entries))
 
     def _planes(self):
         """(shift, planes) for classic_decode to count with, or None to scan.
@@ -628,20 +618,19 @@ def _bit_planes(values: tuple):
     """(shift, planes) of a wide memory's ints, or None for a narrow one.
 
     shift and width are the lowest set bit and the span of the OR of
-    the ints; a memory of scalar blades alone has no span and scans.
-    Plane i holds bit shift + i of every entry as one int, entry j at
-    bit j.  Each entry's shifted int is written as ceil(width/8)
-    little-endian bytes and the whole row is reversed once, so every
-    byte column, read with that stride, lists the last entry first;
-    each bit of it is one translate to "0"/"1" digits and one base-2
-    int.
+    the ints.  Plane i holds bit shift + i of every entry as one int,
+    entry j at bit j.  Each entry's shifted int is written as
+    ceil(width/8) little-endian bytes and the whole row is reversed
+    once, so every byte column, read with that stride, lists the last
+    entry first; each bit of it is one translate to "0"/"1" digits and
+    one base-2 int.
     """
     support = 0
     for v in values:
         support |= v
     shift = (support & -support).bit_length() - 1
     width = support.bit_length() - shift
-    if not support or len(values) < _PLANE_FILLERS_PER_BIT * width:
+    if len(values) < _PLANE_FILLERS_PER_BIT * width:
         return None
     size = (width + 7) // 8
     rows = b"".join([(v >> shift).to_bytes(size, "little") for v in values])[::-1]
@@ -667,8 +656,7 @@ def classic_decode(
     instead: each plane is flipped where the record's bit is set, the
     `_bit_sliced_sum` tree adds them into per-entry distances, the
     nearest lanes are read from the top counter down, and the record's
-    bits outside the planes add the same to every entry.  Either way
-    a blade listed under two names answers with its first.
+    bits outside the planes add the same to every entry.
     """
     entries, values = memory
     if not entries:
@@ -712,7 +700,6 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
         else:
             distance += 1 << j
     ambiguous = lanes & (lanes - 1) != 0
-    # the lowest lane of the smallest value is the one values.index finds
     best = (lanes & -lanes).bit_length() - 1
     while lanes:
         low = lanes & -lanes

@@ -22,6 +22,7 @@ from bladebind.codec import (
     majority_chunk,
 )
 from bladebind.multivector import Multivector
+from decode_corpus import nearest_by_scan
 
 
 def b(text):
@@ -35,6 +36,10 @@ def small_table():
         roles={"name": b("1010"), "sex": b("0111"), "age": b("1011")},
         fillers={"Pat": b("1100"), "male": b("1000"), "66": b("0100")},
     )
+
+
+def empty_memory():
+    return CleanupMemory.from_table(SymbolTable(n=3, k=3, roles={}, fillers={}), "hamming")
 
 
 # --- symbol generation ------------------------------------------------------
@@ -119,8 +124,12 @@ def test_symbol_table_validation():
         SymbolTable(n=4, k=2, roles={}, fillers={"f": b("1010")})
     with pytest.raises(ValueError):  # all-zero symbol
         SymbolTable(n=4, k=2, roles={"r": b("0000")}, fillers={})
+    with pytest.raises(ValueError):  # all-zero filler
+        SymbolTable(n=4, k=2, roles={}, fillers={"f": b("0000")})
     with pytest.raises(ValueError):  # duplicate bit string
         SymbolTable(n=4, k=2, roles={"r": b("1100")}, fillers={"f": b("1100")})
+    with pytest.raises(ValueError):  # one filler listed under two names
+        SymbolTable(n=4, k=2, roles={}, fillers={"f": b("1100"), "g": b("1100")})
     with pytest.raises(ValueError):  # wrong dimension
         SymbolTable(n=4, k=2, roles={"r": b("10100")}, fillers={})
 
@@ -238,8 +247,8 @@ def test_record_malformed_json():
 def test_cleanup_memory_validation():
     with pytest.raises(ValueError, match="unknown clean-up metric"):
         CleanupMemory.from_table(small_table(), "similarity")
-    with pytest.raises(ValueError):  # mixed dimensions, found when it is built
-        CleanupMemory(entries=(("f", b("1100")), ("g", b("110"))))
+    with pytest.raises(TypeError):  # only a table builds a memory
+        CleanupMemory(small_table().fillers.items())
     mem = CleanupMemory.from_table(small_table(), "hamming")
     assert len(mem.entries) == 3
 
@@ -250,7 +259,6 @@ def test_table_keeps_one_memory_with_its_filler_column():
     assert CleanupMemory.from_table(t, "hamming") is mem
     assert mem.entries == tuple(t.fillers.items())
     assert mem.values == (0b1100, 0b1000, 0b0100)  # Pat, male, 66: table order
-    assert mem == CleanupMemory(t.fillers.items())
 
 
 # --- classic codec ---------------------------------------------------------------
@@ -427,14 +435,16 @@ def test_classic_decode_without_true_filler():
     t = small_table()
     record = classic_encode(t, [("name", "Pat")])
     unbound = record.bits ^ t.roles["name"]  # equals Pat's bits
-    mem = CleanupMemory(entries=(("near", b("1000")), ("far", b("0010"))))
+    other = SymbolTable(n=4, k=3, roles={}, fillers={"near": b("1000"), "far": b("0010")})
+    mem = CleanupMemory.from_table(other, "hamming")
     res = classic_decode(record.bits, t.roles["name"], mem)
     assert res.filler == "near" and not res.ambiguous
     assert res.distance == hamming(unbound, b("1000")) == 1
 
 
 def test_classic_decode_tie_is_flagged_lexicographic():
-    mem = CleanupMemory(entries=(("hi", b("1100")), ("lo", b("1010"))))
+    table = SymbolTable(n=4, k=3, roles={}, fillers={"hi": b("1100"), "lo": b("1010")})
+    mem = CleanupMemory.from_table(table, "hamming")
     # unbound result 1000 is one flip from both entries
     res = classic_decode(b("1000"), BladeIndex(4, 0), mem)
     assert res.ambiguous
@@ -457,7 +467,8 @@ def test_classic_decode_matches_a_full_distance_scan(n):
     for third, winner, ambiguous in ((near(9), twins[0], True), (near(3), None, False)):
         # the larger twin first, among entries in no blade order
         blades = [twins[1], *far[:20], third, twins[0], *far[20:]]
-        memory = CleanupMemory({f"f{i}": blade for i, blade in enumerate(blades)}.items())
+        table = SymbolTable(n, n, {}, {f"f{i}": blade for i, blade in enumerate(blades)})
+        memory = CleanupMemory.from_table(table, "hamming")
         distances = [(hamming(record ^ role, blade), blade.value, name)
                      for name, blade in memory.entries]
         d, value, name = min(distances)
@@ -467,41 +478,23 @@ def test_classic_decode_matches_a_full_distance_scan(n):
         assert res.ambiguous == ([e[0] for e in distances].count(d) > 1)
 
 
-@pytest.mark.parametrize(
-    "entries",
-    [
-        (("g", b("110")), ("f", b("1100")), ("h", b("0011"))),
-        (("f", b("1100")), ("h", b("0011")), ("g", b("110"))),
-    ],
-    ids=["mismatch-first", "mismatch-last"],
-)
-def test_mixed_dimension_memory_is_rejected_when_built(entries):
-    with pytest.raises(DimensionMismatch):
-        CleanupMemory(entries)
-
-
 def test_classic_decode_checks_the_record_against_the_memory():
     # the one dimension check left in each decode, after the empty
     # memory and the record against the role
-    mem = CleanupMemory((("f", b("110")), ("g", b("011"))))
+    mem = CleanupMemory.from_table(
+        SymbolTable(n=3, k=3, roles={}, fillers={"f": b("110"), "g": b("011")}), "hamming"
+    )
     with pytest.raises(DimensionMismatch, match=r"n=4 vs n=3"):
         classic_decode(b("1000"), BladeIndex(4, 0), mem)
     with pytest.raises(DimensionMismatch, match=r"n=4 vs n=5"):
         classic_decode(b("1000"), BladeIndex(5, 0), mem)
     with pytest.raises(ValueError, match="empty"):
-        classic_decode(b("1000"), BladeIndex(5, 0), CleanupMemory(()))
-
-
-def test_classic_decode_names_a_blade_listed_twice_by_its_first_name():
-    mem = CleanupMemory((("far", b("0011")), ("first", b("1100")), ("second", b("1100"))))
-    res = classic_decode(b("1000"), BladeIndex(4, 0), mem)
-    assert (res.filler, res.blade, res.ambiguous) == ("first", b("1100"), True)
-    assert res.distance == hamming(b("1000"), b("1100")) == 1
+        classic_decode(b("1000"), BladeIndex(5, 0), empty_memory())
 
 
 def test_classic_decode_needs_hamming_memory():
     with pytest.raises(ValueError, match="empty"):
-        classic_decode(b("1000"), b("0001"), CleanupMemory(()))
+        classic_decode(b("1000"), b("0001"), empty_memory())
 
 
 def test_classic_three_pair_retrieval_smoke():
@@ -519,24 +512,12 @@ def test_classic_three_pair_retrieval_smoke():
 # --- classic clean-up on bit planes -------------------------------------------------
 
 
-def scan_nearest(unbound, memory):
-    """The full `hamming` scan: (filler, blade, distance, ambiguous).
-
-    Nearest wins, then the smallest blade, then the first name.
-    """
-    ranked = sorted(
-        (hamming(unbound, blade), blade.value, i) for i, (_, blade) in enumerate(memory.entries)
-    )
-    distance, _, i = ranked[0]
-    name, blade = memory.entries[i]
-    return name, blade, distance, len(ranked) > 1 and ranked[1][0] == distance
-
-
-def assert_decodes_match_the_scan(records, roles, memory):
+def assert_decodes_match_the_scan(records, roles, table):
+    memory = CleanupMemory.from_table(table, "hamming")
     for bits in records:
         for role in roles:
             res = classic_decode(bits, role, memory)
-            assert tuple(res) == scan_nearest(bits ^ role, memory)
+            assert tuple(res) == nearest_by_scan((bits ^ role).value, table)
 
 
 @pytest.mark.parametrize("n, k, fillers", [(1024, 256, 2000), (40, 10, 300)])
@@ -551,14 +532,14 @@ def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers):
     ] + [BladeIndex(n, rng.getrandbits(n)) for _ in range(3)]
     assert "planes" not in vars(memory)
     # the first decode scans; the second builds the planes, and the rest count on them
-    assert_decodes_match_the_scan(records, table.roles.values(), memory)
+    assert_decodes_match_the_scan(records, table.roles.values(), table)
     shift, planes = vars(memory)["planes"]
     assert (shift, len(planes)) == (n - k, k)
 
 
 def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules():
-    # ints that use bit 0 and bit n - 1 (shift 0, width n), one blade
-    # under two names and, over every possible record, every kind of tie
+    # ints that use bit 0 and bit n - 1 (shift 0, width n) and, over
+    # every possible record, every kind of tie
     n = 10
     rng = random.Random(3)
     # the larger of the two blades one flip from 0b111 is listed first
@@ -566,15 +547,14 @@ def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules():
     values += [
         v for v in rng.sample(range(8, 1 << n), 40) if min((v ^ w).bit_count() for w in values) > 1
     ][:30]
-    entries = [(f"f{i}", BladeIndex(n, v)) for i, v in enumerate(values)]
-    entries += [("twin", entries[0][1])]  # listed after its first name
-    memory = CleanupMemory(entries)
+    table = SymbolTable(n, n, {}, {f"f{i}": BladeIndex(n, v) for i, v in enumerate(values)})
+    memory = CleanupMemory.from_table(table, "hamming")
     assert len(memory.values) >= 3 * n
     records = [BladeIndex(n, v) for v in range(1 << n)]
-    assert_decodes_match_the_scan(records, [BladeIndex(n, 0)], memory)
+    assert_decodes_match_the_scan(records, [BladeIndex(n, 0)], table)
     assert vars(memory)["planes"][0] == 0
     res = classic_decode(BladeIndex(n, 0b1000000001), BladeIndex(n, 0), memory)
-    assert (res.filler, res.distance, res.ambiguous) == ("f0", 0, True)
+    assert (res.filler, res.distance, res.ambiguous) == ("f0", 0, False)
     res = classic_decode(BladeIndex(n, 0b0000000111), BladeIndex(n, 0), memory)
     assert (res.filler, res.distance, res.ambiguous) == ("f2", 1, True)
 
@@ -583,22 +563,14 @@ def test_classic_decode_on_planes_counts_record_bits_outside_them():
     # fillers in machine bits 4..9 of 16; the records set bits above
     # the memory's top bit and below its lowest one
     n = 16
-    memory = CleanupMemory((f"f{v}", BladeIndex(n, v << 4)) for v in range(1, 64, 2))
+    table = SymbolTable(n, 12, {}, {f"f{v}": BladeIndex(n, v << 4) for v in range(1, 64, 2)})
+    memory = CleanupMemory.from_table(table, "hamming")
     role = BladeIndex(n, 0)
     records = [BladeIndex(n, v) for v in (0b1111_000000_1111, 0b1000_010101_0001, 0x03F0, 0xFFFF)]
-    assert_decodes_match_the_scan(records, [role, BladeIndex(n, 0b1100_000000_0011)], memory)
+    assert_decodes_match_the_scan(records, [role, BladeIndex(n, 0b1100_000000_0011)], table)
     assert vars(memory)["planes"][0] == 4
     res = classic_decode(BladeIndex(n, 0b1111_000001_1111), role, memory)
     assert (res.filler, res.distance) == ("f1", 8)
-
-
-def test_a_memory_of_scalar_blades_keeps_the_scan():
-    # the OR of its ints is 0: no support to slice, however many entries
-    memory = CleanupMemory((name, BladeIndex(4, 0)) for name in "abc")
-    for _ in range(3):
-        res = classic_decode(b("1000"), BladeIndex(4, 0), memory)
-        assert (res.filler, res.distance, res.ambiguous) == ("a", 1, True)
-    assert vars(memory)["planes"] is None
 
 
 def test_only_a_wide_memory_keeps_planes():

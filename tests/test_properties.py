@@ -28,6 +28,7 @@ from bladebind.codec import (
 )
 from bladebind.multivector import Multivector, similarity, trace_product
 from bladebind.reference import product_by_transposition_sort
+from decode_corpus import nearest_by_scan
 from dense_cartan import sign_by_crossing_count
 
 
@@ -391,21 +392,6 @@ def test_items_and_to_pairs_ascend_by_blade(single):
 
 
 # --- classic clean-up against an independent distance scan -------------------------
-
-
-def nearest_by_scan(unbound, table):
-    """Reference classic clean-up: the popcount distance of every filler.
-
-    The smallest distance wins, ties go to the smallest blade, and the
-    result is ambiguous when two or more fillers share that distance.
-    """
-    ranked = sorted(
-        ((unbound ^ blade.value).bit_count(), blade.value, name)
-        for name, blade in table.fillers.items()
-    )
-    distance, value, name = ranked[0]
-    tied = len(ranked) > 1 and ranked[1][0] == distance
-    return name, BladeIndex(table.n, value), distance, tied
 
 
 @given(crowded_tables(min_n=4, max_n=12, max_fillers=12), st.data())
