@@ -98,10 +98,12 @@ def attempt(call, *args) -> str:
 
 def block_table(n: int, seed: int) -> SymbolTable:
     k, fillers, roles = SIZES[n]
-    return gen_symbols(seed, n, k, [f"r{i}" for i in range(roles)], [f"f{i}" for i in range(fillers)])
+    role_names = [f"r{i}" for i in range(roles)]
+    return gen_symbols(seed, n, k, role_names, [f"f{i}" for i in range(fillers)])
 
 
 def ga_lines(n: int, seed: int, problems: list) -> list:
+    """The rendering of one GA block; it has no reference to add to problems."""
     table = block_table(n, seed)
     rng = random.Random(f"ga {n} {seed}")
     roles, fillers = list(table.roles), list(table.fillers)
@@ -170,6 +172,7 @@ def ga_lines(n: int, seed: int, problems: list) -> list:
 
 
 def classic_lines(n: int, seed: int, problems: list) -> list:
+    """The rendering of one classic block; problems gets each decode off the reference."""
     table = block_table(n, seed)
     rng = random.Random(f"classic {n} {seed}")
     roles, fillers = list(table.roles), list(table.fillers)
@@ -203,12 +206,13 @@ def classic_lines(n: int, seed: int, problems: list) -> list:
             # a fresh table's memory scans on its first decode; the
             # block's memory counts on planes from its second on, if wide
             fresh = SymbolTable(n, table.k, table.roles, table.fillers)
-            for how, mem in (("first", CleanupMemory.from_table(fresh, "hamming")), ("kept", memory)):
+            first = CleanupMemory.from_table(fresh, "hamming")
+            for how, mem in (("first", first), ("kept", memory)):
                 res = classic_decode(bits, role_blade, mem)
-                lines.append(f"decode {i} {role} {how} -> {show(tuple(res))}")
-                if tuple(res) != want:
+                lines.append(f"decode {i} {role} {how} -> {show(res)}")
+                if res != want:
                     problems.append(
-                        f"classic-n{n}-seed{seed}: {how} decode {i} {role} gave {show(tuple(res))}, "
+                        f"classic-n{n}-seed{seed}: {how} decode {i} {role} gave {show(res)}, "
                         f"the reference scan {show(want)}"
                     )
 
