@@ -101,6 +101,17 @@ def _codec_table(n: int, seed: int):
     return gen_symbols(seed, n, max(1, n // 4), ["r1", "r2", "r3"], ["f1", "f2", "f3"])
 
 
+def _wide_table(n: int, seed: int):
+    """The same roles over 8 fillers per filler bit, k = min(n // 4, 256).
+
+    Below k = 6 a k-bit prefix cannot host 8k fillers, so the table
+    takes all 2^k - 1.
+    """
+    k = min(n // 4, 256)
+    count = min(8 * k, (1 << k) - 1)
+    return gen_symbols(seed, n, k, ["r1", "r2", "r3"], [f"f{i}" for i in range(1, count + 1)])
+
+
 def _ms_per_call(reps: int, call, *args) -> float:
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -108,14 +119,16 @@ def _ms_per_call(reps: int, call, *args) -> float:
     return max(time.perf_counter() - t0, 1e-9) / reps * 1e3
 
 
-def _bench_codec(table) -> dict:
+def _bench_codec(table, wide) -> dict:
     """GA encode and decode of a 3-pair record, plus the paths it misses.
 
     A classic encode of the first two pairs is an even vote, so its
     tie-coin fill runs, and a classic decode of r1 from that record scans
     the table's filler column; a GA decode of r3 from those two pairs
-    finds no filler and takes the no-hit path.  The records decoded are
-    built once, before anything is timed.
+    finds no filler and takes the no-hit path.  The same classic decode
+    on the wide table's memory, decoded twice first, counts on its bit
+    planes where the memory is wide.  The records decoded are built
+    once, before anything is timed.
     """
     pairs = [("r1", "f1"), ("r2", "f2"), ("r3", "f3")]
     reps = 100 if table.n <= 2048 else 10
@@ -123,6 +136,10 @@ def _bench_codec(table) -> dict:
     two_pairs = ga_encode(table, pairs[:2])
     classic_record = classic_encode(table, pairs[:2])
     memory = CleanupMemory.from_table(table, "hamming")
+    wide_bits = classic_encode(wide, pairs[:2]).bits
+    wide_memory = CleanupMemory.from_table(wide, "hamming")
+    for _ in range(2):  # the second decode builds the planes
+        classic_decode(wide_bits, wide.roles["r1"], wide_memory)
     return {
         "codec_k": table.k,
         "codec_fillers": len(table.fillers),
@@ -137,6 +154,10 @@ def _bench_codec(table) -> dict:
             reps, classic_decode, classic_record.bits, table.roles["r1"], memory
         ),
         "decode_absent_ms": _ms_per_call(reps, ga_decode, two_pairs, table, "r3"),
+        "codec_wide_fillers": len(wide.fillers),
+        "classic_decode_wide_ms": _ms_per_call(
+            reps, classic_decode, wide_bits, wide.roles["r1"], wide_memory
+        ),
     }
 
 
@@ -146,12 +167,12 @@ def run_bench(sizes=DEFAULT_SIZES, seed: int = 0) -> dict:
     Every size's codec table is built before anything is timed, so a
     size too small to host it fails at once.
     """
-    tables = [_codec_table(n, seed) for n in sizes]
+    tables = [(_codec_table(n, seed), _wide_table(n, seed)) for n in sizes]
     entries = []
-    for table in tables:
+    for table, wide in tables:
         entry = {"n": table.n}
         entry.update(_bench_products(table.n, seed))
-        entry.update(_bench_codec(table))
+        entry.update(_bench_codec(table, wide))
         entries.append(entry)
     result = {"seed": seed, "sizes": entries}
     gate = next((e for e in entries if e["n"] == ASSERT_AT_N), None)
@@ -178,7 +199,9 @@ def format_text(result: dict) -> str:
             f"encode {e['encode_ms']:.3g} ms, decode {e['decode_ms']:.3g} ms, "
             f"classic encode (2 pairs) {e['classic_encode_ms']:.3g} ms, "
             f"classic decode {e['classic_decode_ms']:.3g} ms, "
-            f"absent-role decode {e['decode_absent_ms']:.3g} ms"
+            f"absent-role decode {e['decode_absent_ms']:.3g} ms, "
+            f"wide classic decode ({e['codec_wide_fillers']} fillers) "
+            f"{e['classic_decode_wide_ms']:.3g} ms"
         )
     if "passed" in result:
         lines.append(

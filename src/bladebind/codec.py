@@ -20,10 +20,11 @@ Two interchangeable codings of the same record abstraction:
   The table keeps its fillers' raw ints as one column, so the clean-up
   scan is one XOR, one popcount and one compare per filler, with no
   blade unpacked until the winner is known.  A wide memory, one with
-  at least three fillers per bit of its support (F >= 3 * width), is
-  counted bit-sliced instead from its second decode: plane i holds bit
-  i of the support of every filler as one F-bit int, and one adder
-  tree over the planes gives every filler's distance at once.
+  F >= 128 + 2 * width fillers for a support of width bits, is counted
+  bit-sliced instead from its second decode: plane i holds bit i of
+  the support of every filler as one F-bit int, and one adder tree
+  over the planes where the record's window has its minority bit,
+  added to every filler's kept popcount, gives every distance at once.
   The vote is bit-sliced over the int bit strings: per-position counts
   are kept as a few big-int counters (counters[j] holds bit j of every
   count), summed by a carry-save tree of XOR/AND/OR full adders and
@@ -48,6 +49,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
+from itertools import zip_longest
 
 from .blades import BladeIndex, _check_dims, _shorten, format_blade, parse_blade, product_sign
 from .multivector import Multivector, _add_terms
@@ -328,18 +330,19 @@ class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
     classic_decode scans.  `SymbolTable` builds the one memory of its
     fillers in its validation pass, and `from_table` returns it.
 
-    A memory holding at least _PLANE_FILLERS_PER_BIT entries per bit of
-    its support (the span of the OR of its ints) is wide.  On its
-    second decode a wide memory builds its bit planes (`_bit_planes`,
+    A memory of F entries whose support (the span of the OR of its
+    ints) is width bits wide is wide when F >= _PLANE_FILLERS_BASE +
+    _PLANE_FILLERS_PER_BIT * width.  On its second decode a wide memory
+    builds its bit planes and every entry's popcount (`_bit_planes`,
     2.2 to 4.2 ms at 2000 entries of 256 bits) and keeps them; a narrow
-    one keeps the scan.  The planes sit in the instance dict, outside
-    the two fields, so `==` and the fields read as before.
+    one keeps the scan.  They sit in the instance dict, outside the two
+    fields, so `==` and the fields read as before.
     """
 
     # no __slots__: the instance dict keeps what `_planes` builds
 
     def _planes(self):
-        """(shift, planes) for classic_decode to count with, or None to scan.
+        """(shift, planes, sizes) for classic_decode to count with, or None to scan.
 
         The first call only marks the memory, so a memory decoded once
         builds nothing.  The second builds the bit planes of a wide
@@ -609,13 +612,16 @@ def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
 ClassicDecodeResult = namedtuple("ClassicDecodeResult", "filler blade distance ambiguous")
 
 
-# A memory with at least this many entries per bit of its support is
-# wide: from its second decode, classic_decode counts on its bit planes.
-_PLANE_FILLERS_PER_BIT = 3
+# A memory of F entries over a support of width bits is wide when
+# F >= _PLANE_FILLERS_BASE + _PLANE_FILLERS_PER_BIT * width: from its
+# second decode, classic_decode counts on its bit planes.  Below that
+# the planes' fixed cost per decode loses to the scan (README sweep).
+_PLANE_FILLERS_BASE = 128
+_PLANE_FILLERS_PER_BIT = 2
 
 
 def _bit_planes(values: tuple):
-    """(shift, planes) of a wide memory's ints, or None for a narrow one.
+    """(shift, planes, sizes) of a wide memory's ints, or None for a narrow one.
 
     shift and width are the lowest set bit and the span of the OR of
     the ints.  Plane i holds bit shift + i of every entry as one int,
@@ -623,14 +629,16 @@ def _bit_planes(values: tuple):
     ceil(width/8) little-endian bytes and the whole row is reversed
     once, so every byte column, read with that stride, lists the last
     entry first; each bit of it is one translate to "0"/"1" digits and
-    one base-2 int.
+    one base-2 int.  sizes is every entry's popcount, bit-sliced like
+    the planes: one `_bit_sliced_sum` over them, so sizes[j] holds bit
+    j of each entry's count.
     """
     support = 0
     for v in values:
         support |= v
     shift = (support & -support).bit_length() - 1
     width = support.bit_length() - shift
-    if len(values) < _PLANE_FILLERS_PER_BIT * width:
+    if len(values) < _PLANE_FILLERS_BASE + _PLANE_FILLERS_PER_BIT * width:
         return None
     size = (width + 7) // 8
     rows = b"".join([(v >> shift).to_bytes(size, "little") for v in values])[::-1]
@@ -639,7 +647,7 @@ def _bit_planes(values: tuple):
         column = rows[size - 1 - c :: size]
         for digits in _BIT_DIGITS[: width - 8 * c]:
             planes.append(int(column.translate(digits), 2))
-    return shift, planes
+    return shift, planes, _bit_sliced_sum(planes[:])
 
 
 def classic_decode(
@@ -653,10 +661,12 @@ def classic_decode(
     scanned: the column of raw ints alone, with the distance `hamming`
     written out, one XOR, one popcount and one compare per entry.  From
     its second decode a wide memory is counted on its bit planes
-    instead: each plane is flipped where the record's bit is set, the
-    `_bit_sliced_sum` tree adds them into per-entry distances, the
-    nearest lanes are read from the top counter down, and the record's
-    bits outside the planes add the same to every entry.
+    instead (`_plane_decode`): the `_bit_sliced_sum` tree adds the
+    planes where the record's window has its minority bit, at most
+    width/2 of them, and one ripple-carry add puts the doubled counts
+    onto each entry's kept popcount; the nearest lanes are read from
+    the top counter down, and the record's bits outside the planes
+    add the same to every entry.
     """
     entries, values = memory
     if not entries:
@@ -683,18 +693,42 @@ def classic_decode(
 
 
 def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecodeResult:
-    """classic_decode of the unbound int u on a wide memory's (shift, planes)."""
+    """classic_decode of the unbound int u on a wide memory's kept planes.
+
+    Over the planes, with w the window of u they cover, s = popcount(w),
+    |v| an entry's popcount and ~p a plane complemented within the F
+    lanes, an entry's distance is both |v| - s + 2 * sum of ~p where w
+    has a 1 and s - |v| + 2 * sum of p where w has a 0.  Only the
+    smaller of the two plane sets is summed, at most width/2 planes; one
+    ripple-carry add puts the doubled counts onto |v|, or onto its
+    complement 2^b - 1 - |v| across the b kept counters, and the lanes
+    of the smallest total are the nearest entries.
+    """
     entries, values = memory
-    shift, planes = sliced
+    shift, planes, sizes = sliced
     width = len(planes)
     window = u >> shift & (1 << width) - 1
+    ones = window.bit_count()
     lanes = (1 << len(values)) - 1
     digits = format(window, f"0{width}b")[::-1]  # digit i is bit shift + i of u
-    counters = _bit_sliced_sum([p ^ lanes if d == "1" else p for p, d in zip(planes, digits)])
     # the record's bits outside the planes differ from every entry
-    distance = u.bit_count() - window.bit_count()
-    for j in reversed(range(len(counters))):
-        lower = lanes & ~counters[j]
+    distance = u.bit_count() - ones
+    if 2 * ones <= width:
+        counts = _bit_sliced_sum([p ^ lanes for p, d in zip(planes, digits) if d == "1"])
+        distance -= ones
+    else:
+        counts = _bit_sliced_sum([p for p, d in zip(planes, digits) if d == "0"])
+        sizes = [c ^ lanes for c in sizes]
+        distance += ones - (1 << len(sizes)) + 1
+    totals = []
+    carry = 0
+    for a, b in zip_longest(sizes, [0, *counts], fillvalue=0):
+        a_xor_b = a ^ b
+        totals.append(a_xor_b ^ carry)
+        carry = (a & b) | (a_xor_b & carry)
+    totals.append(carry)
+    for j in reversed(range(len(totals))):
+        lower = lanes & ~totals[j]
         if lower:
             lanes = lower
         else:

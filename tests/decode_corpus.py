@@ -46,10 +46,11 @@ from bladebind.multivector import Multivector
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "decode_corpus.txt"
 
-# n -> (k, fillers, roles).  Wide memories (F >= 3 * width) count on bit
-# planes from their second decode: n = 6 from bit 0 (k = n), n = 16 at
-# every 4-bit prefix, and n = 1024 at wide-memory's shape.  n = 80 is a
-# narrow memory crowded into 8 bits, and n = 10,000 bind-stream's shape.
+# n -> (k, fillers, roles).  Only n = 1024, at wide-memory's shape, is a
+# wide memory (F >= 128 + 2 * width) that counts on bit planes from its
+# second decode.  The others scan: n = 6 from bit 0 (k = n), n = 16 at
+# every 4-bit prefix, n = 80 crowded into 8 bits, and n = 10,000 at
+# bind-stream's shape.
 SIZES = {
     6: (6, 24, 4),
     16: (4, 15, 5),

@@ -652,12 +652,15 @@ def test_bench_small_smoke(capsys):
     result = json.loads(out)
     assert result["sizes"][0]["n"] == 64
     assert "passed" not in result  # no assertion gate away from n=10000
-    for key in ("sign_us_per_call", "classic_encode_ms", "classic_decode_ms", "decode_absent_ms"):
+    for key in ("sign_us_per_call", "classic_encode_ms", "classic_decode_ms", "decode_absent_ms",
+                "classic_decode_wide_ms"):
         assert result["sizes"][0][key] > 0
     assert result["sizes"][0]["codec_fillers"] == 3
+    assert result["sizes"][0]["codec_wide_fillers"] == 8 * 16
     text = bench.format_text(result)
     for label in (" us/call, ", "classic encode (2 pairs) ", "classic decode ",
-                  "absent-role decode ", " 3 fillers, symbols crc32 "):
+                  "absent-role decode ", " 3 fillers, symbols crc32 ",
+                  "wide classic decode (128 fillers) "):
         assert label in text
     assert elapsed < 1.0
 
@@ -673,7 +676,7 @@ def test_bench_deterministic_op_counts(capsys):
     rc2, out2, _ = run(capsys, "bench", "--n", "64", "--seed", "5", "--json")
     assert rc1 == rc2 == 0
     keys = ["product_count", "reference_count", "index_checksum", "codec_reps",
-            "codec_fillers", "codec_symbols_crc32"]
+            "codec_fillers", "codec_symbols_crc32", "codec_wide_fillers"]
     first = {k: json.loads(out1)["sizes"][0][k] for k in keys}
     second = {k: json.loads(out2)["sizes"][0][k] for k in keys}
     assert first == second

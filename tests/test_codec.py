@@ -521,7 +521,7 @@ def assert_decodes_match_the_scan(records, roles, table):
 
 
 @pytest.mark.parametrize("n, k, fillers", [(1024, 256, 2000), (40, 10, 300)])
-def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers):
+def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers, monkeypatch):
     table = gen_symbols(n, n, k, [f"r{i}" for i in range(4)], [f"f{i}" for i in range(fillers)])
     memory = CleanupMemory.from_table(table, "hamming")
     rng = random.Random(k)
@@ -530,16 +530,37 @@ def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers):
         classic_encode(table, [(role, rng.choice(names)) for role in table.roles], seed).bits
         for seed in range(3)
     ] + [BladeIndex(n, rng.getrandbits(n)) for _ in range(3)]
+    # unbound by r0, windows of 0, k/2, k/2 + 1 and k ones: the sum over
+    # the ones, the boundary on either side, and the sum over the zeros
+    r0 = table.roles["r0"]
+    windows = [
+        sum(1 << n - k + i for i in rng.sample(range(k), c)) for c in (0, k // 2, k // 2 + 1, k)
+    ]
+    records += [BladeIndex(n, w | rng.getrandbits(n - k)) ^ r0 for w in windows]
     assert "planes" not in vars(memory)
     # the first decode scans; the second builds the planes, and the rest count on them
     assert_decodes_match_the_scan(records, table.roles.values(), table)
-    shift, planes = vars(memory)["planes"]
+    shift, planes, sizes = vars(memory)["planes"]
     assert (shift, len(planes)) == (n - k, k)
+    # the kept counters hold every entry's popcount, entry j in lane j
+    for j, v in enumerate(memory.values):
+        assert sum((c >> j & 1) << i for i, c in enumerate(sizes)) == v.bit_count()
+    # each decode sums the smaller plane set: the ones up to k/2, else the zeros
+    summed = []
+    tree = codec._bit_sliced_sum
+    monkeypatch.setattr(
+        codec, "_bit_sliced_sum", lambda column: summed.append(len(column)) or tree(column)
+    )
+    for bits in records[-4:]:
+        classic_decode(bits, r0, memory)
+    assert summed == [0, k // 2, k // 2 - 1, 0]
 
 
-def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules():
+def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules(monkeypatch):
     # ints that use bit 0 and bit n - 1 (shift 0, width n) and, over
-    # every possible record, every kind of tie
+    # every possible record, every kind of tie; the plane rule scans a
+    # memory this small, so its base of 128 fillers is lifted here
+    monkeypatch.setattr(codec, "_PLANE_FILLERS_BASE", 0)
     n = 10
     rng = random.Random(3)
     # the larger of the two blades one flip from 0b111 is listed first
@@ -559,9 +580,11 @@ def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules():
     assert (res.filler, res.distance, res.ambiguous) == ("f2", 1, True)
 
 
-def test_classic_decode_on_planes_counts_record_bits_outside_them():
+def test_classic_decode_on_planes_counts_record_bits_outside_them(monkeypatch):
     # fillers in machine bits 4..9 of 16; the records set bits above
-    # the memory's top bit and below its lowest one
+    # the memory's top bit and below its lowest one; as above, the
+    # plane rule's base is lifted so that this small memory counts on planes
+    monkeypatch.setattr(codec, "_PLANE_FILLERS_BASE", 0)
     n = 16
     table = SymbolTable(n, 12, {}, {f"f{v}": BladeIndex(n, v << 4) for v in range(1, 64, 2)})
     memory = CleanupMemory.from_table(table, "hamming")
@@ -574,9 +597,19 @@ def test_classic_decode_on_planes_counts_record_bits_outside_them():
 
 
 def test_only_a_wide_memory_keeps_planes():
-    # bind-stream's shape keeps the scan; wide-memory's counts on planes
-    # from its second decode, and a memory decoded once builds nothing
-    for n, k, fillers, wide in ((10_000, 2500, 64, False), (1024, 256, 2000, True)):
+    # bind-stream's shape keeps the scan; wide-memory's and cli-pipeline's
+    # count on planes from their second decode, and a memory decoded once
+    # builds nothing.  The rule's edge, F = 128 + 2 * width, at widths 256 and 64.
+    shapes = (
+        (10_000, 2500, 64, False),
+        (1024, 256, 2000, True),
+        (1024, 256, 1000, True),
+        (1024, 256, 639, False),
+        (1024, 256, 640, True),
+        (256, 64, 255, False),
+        (256, 64, 256, True),
+    )
+    for n, k, fillers, wide in shapes:
         table = gen_symbols(1, n, k, ["r"], [f"f{i}" for i in range(fillers)])
         memory = CleanupMemory.from_table(table, "hamming")
         record = classic_encode(table, [("r", "f7")]).bits
