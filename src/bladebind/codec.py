@@ -17,13 +17,14 @@ Two interchangeable codings of the same record abstraction:
   record, whatever the filler count.
 * Classic codec: binding is XOR, chunking is a per-position majority
   vote with seeded tie flips, clean-up is nearest Hamming distance.
-  The table keeps its fillers' raw ints as one column, so the clean-up
-  scan is one XOR, one popcount and one compare per filler, with no
-  blade unpacked until the winner is known.  A wide memory, one with
-  F >= 128 + 2 * width fillers for a support of width bits, is counted
-  bit-sliced instead from its second decode: plane i holds bit i of
-  the support of every filler as one F-bit int, and one adder tree
-  over the planes where the record's window has its minority bit,
+  The table keeps its fillers' raw ints as one column in blade order,
+  so the clean-up scan is one XOR, one popcount and one compare per
+  filler, with no blade unpacked until the winner is known, and the
+  first nearest filler is the tie rule's answer.  A wide memory, one
+  with F >= 128 + 2 * width fillers for a support of width bits, is
+  counted bit-sliced instead from its second decode: plane i holds bit
+  i of the support of every filler as one F-bit int, and one adder
+  tree over the planes where the record's window has its minority bit,
   added to every filler's kept popcount, gives every distance at once.
   The vote is bit-sliced over the int bit strings: per-position counts
   are kept as a few big-int counters (counters[j] holds bit j of every
@@ -122,14 +123,14 @@ class SymbolTable(_JsonFile):
     unpadded and holds no ",", and a role name no "=", so that a
     "role=filler,..." list spells every pair.  Treat the mappings as
     read-only: they are validated once, here.  Validation also keeps a
-    value -> name index of every symbol for the GA clean-up, and the
-    classic clean-up memory: the (name, blade) pairs of `fillers` and
-    their raw ints as one column, in table order.  A later change to
-    either mapping would go unchecked and leave both stale.
-    The same pass keeps what the GA decode would otherwise recompute per
-    call: the support filter (the lowest min(n - k, 30) machine bits,
-    where no filler has a set bit) and the (name, blade) of the smallest
-    filler, its answer when no filler scores.
+    value -> name index of every symbol for the GA clean-up, the
+    classic clean-up memory (the (name, blade) pairs of `fillers` and
+    their raw ints as one column, sorted once by blade value: that
+    order is both codecs' tie rule), and the support filter the GA
+    decode would otherwise recompute per call: the lowest
+    min(n - k, 30) machine bits, where no filler has a set bit.  A
+    later change to either mapping would go unchecked and leave them
+    stale.
     """
 
     def __init__(self, n: int, k: int, roles: dict, fillers: dict):
@@ -141,7 +142,7 @@ class SymbolTable(_JsonFile):
                 f"names used as both role and filler: {_shorten(repr(sorted(overlap)))}"
             )
         names: dict[int, str] = {}
-        entries, values = [], []
+        entries = []
         for kind, mapping in (("role", roles), ("filler", fillers)):
             for name, blade in mapping.items():
                 if not isinstance(name, str) or not name:
@@ -167,7 +168,6 @@ class SymbolTable(_JsonFile):
                             f"filler {_shorten(repr(name))} has bits beyond position {k}"
                         )
                     entries.append((name, blade))
-                    values.append(blade.value)
                 if blade.value in names:
                     raise ValueError(
                         f"{kind} {_shorten(repr(name))} collides with "
@@ -176,8 +176,8 @@ class SymbolTable(_JsonFile):
                 names[blade.value] = name
         self.n, self.k, self.roles, self.fillers, self._names = n, k, roles, fillers, names
         self._off_support = (1 << min(n - k, 30)) - 1
-        self._smallest_filler = entries[values.index(min(values))] if values else None
-        self._memory = CleanupMemory(tuple(entries), tuple(values))
+        entries.sort(key=lambda entry: entry[1].value)
+        self._memory = CleanupMemory(tuple(entries), tuple([blade.value for _, blade in entries]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolTable) and (
@@ -325,10 +325,11 @@ class EncodedRecord(_JsonFile):
 class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
     """The classic Hamming item memory: named fillers, nearest bit distance wins.
 
-    entries is a tuple of the table's (name, blade) filler pairs, and
-    values holds their raw ints in the same order: the column that
-    classic_decode scans.  `SymbolTable` builds the one memory of its
-    fillers in its validation pass, and `from_table` returns it.
+    entries is the table's (name, blade) filler pairs in blade order,
+    not table order, and values their raw ints: the column that
+    classic_decode scans, whose first nearest entry is the tie rule's
+    answer.  `SymbolTable` builds the one memory of its fillers in its
+    validation pass, and `from_table` returns it.
 
     A memory of F entries whose support (the span of the OR of its
     ints) is width bits wide is wide when F >= _PLANE_FILLERS_BASE +
@@ -418,8 +419,8 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
     of largest absolute score, with the signed score reported (binding
     is projective, a global sign carries no information).  Exact score
     ties go to the lexicographically smallest blade and are flagged
-    ambiguous.  When no filler is present, every filler scores 0: the
-    table's smallest filler wins, ambiguous unless it is the only one.
+    ambiguous.  When no filler is present, all score 0: the smallest
+    filler (the memory's first entry) wins, ambiguous unless alone.
     """
     if record.codec != GA:
         raise ValueError(f"ga_decode on a {record.codec!r} record")
@@ -461,7 +462,7 @@ def ga_decode(record: EncodedRecord, table: SymbolTable, role_name: str) -> GaDe
             if filler.value < winner[1].value:
                 winner = (name, filler, s)
     if winner is None:
-        name, blade = table._smallest_filler
+        name, blade = table._memory.entries[0]
         return GaDecodeResult(name, blade, 0.0, len(fillers) > 1, len(terms))
     # a winner scores above 0, so its own term is not residual
     name, blade, score = winner
@@ -655,18 +656,20 @@ def classic_decode(
 ) -> ClassicDecodeResult:
     """XOR the role back out and return the nearest memory entry.
 
-    Ties go to the lexicographically smallest blade and are flagged.
-    The memory holds one dimension, so the record is checked against
-    it once.  A narrow memory, and any memory on its first decode, is
-    scanned: the column of raw ints alone, with the distance `hamming`
-    written out, one XOR, one popcount and one compare per entry.  From
-    its second decode a wide memory is counted on its bit planes
-    instead (`_plane_decode`): the `_bit_sliced_sum` tree adds the
-    planes where the record's window has its minority bit, at most
-    width/2 of them, and one ripple-carry add puts the doubled counts
-    onto each entry's kept popcount; the nearest lanes are read from
-    the top counter down, and the record's bits outside the planes
-    add the same to every entry.
+    Ties go to the lexicographically smallest blade and are flagged:
+    the memory is in blade order, so both paths take the first nearest
+    entry.  The memory holds one dimension, so the record is checked
+    against it once.  A narrow memory, and any memory on its first
+    decode, is scanned: the column of raw ints alone, with the distance
+    `hamming` written out, one XOR, one popcount and one compare per
+    entry; a later equal distance only flags the tie.  From its second
+    decode a wide memory is counted on its bit planes instead
+    (`_plane_decode`): the `_bit_sliced_sum` tree adds the planes where
+    the record's window has its minority bit, at most width/2 of them,
+    and one ripple-carry add puts the doubled counts onto each entry's
+    kept popcount; the nearest lanes are read from the top counter
+    down, and the record's bits outside the planes add the same to
+    every entry.
     """
     entries, values = memory
     if not entries:
@@ -686,8 +689,6 @@ def classic_decode(
                 best_d, best, ambiguous = d, v, False
             else:
                 ambiguous = True
-                if v < best:
-                    best = v
     name, blade = entries[values.index(best)]
     return ClassicDecodeResult(filler=name, blade=blade, distance=best_d, ambiguous=ambiguous)
 
@@ -702,14 +703,14 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
     smaller of the two plane sets is summed, at most width/2 planes; one
     ripple-carry add puts the doubled counts onto |v|, or onto its
     complement 2^b - 1 - |v| across the b kept counters, and the lanes
-    of the smallest total are the nearest entries.
+    of the smallest total are the nearest entries; the lowest wins.
     """
-    entries, values = memory
+    entries = memory.entries
     shift, planes, sizes = sliced
     width = len(planes)
     window = u >> shift & (1 << width) - 1
     ones = window.bit_count()
-    lanes = (1 << len(values)) - 1
+    lanes = (1 << len(entries)) - 1
     digits = format(window, f"0{width}b")[::-1]  # digit i is bit shift + i of u
     # the record's bits outside the planes differ from every entry
     distance = u.bit_count() - ones
@@ -734,14 +735,7 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
         else:
             distance += 1 << j
     ambiguous = lanes & (lanes - 1) != 0
-    best = (lanes & -lanes).bit_length() - 1
-    while lanes:
-        low = lanes & -lanes
-        lane = low.bit_length() - 1
-        if values[lane] < values[best]:
-            best = lane
-        lanes ^= low
-    name, blade = entries[best]
+    name, blade = entries[(lanes & -lanes).bit_length() - 1]
     return ClassicDecodeResult(filler=name, blade=blade, distance=distance, ambiguous=ambiguous)
 
 

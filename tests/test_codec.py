@@ -257,8 +257,12 @@ def test_table_keeps_one_memory_with_its_filler_column():
     t = small_table()
     mem = CleanupMemory.from_table(t, "hamming")
     assert CleanupMemory.from_table(t, "hamming") is mem
-    assert mem.entries == tuple(t.fillers.items())
-    assert mem.values == (0b1100, 0b1000, 0b0100)  # Pat, male, 66: table order
+    # the column is in blade order, so its first nearest entry is the tie rule's answer
+    assert mem.values == (0b0100, 0b1000, 0b1100)  # 66, male, Pat
+    assert mem.entries == tuple((name, t.fillers[name]) for name in ("66", "male", "Pat"))
+    # the table itself, and what it writes, keep table order
+    assert list(t.fillers) == ["Pat", "male", "66"]
+    assert list(t.to_json()["fillers"]) == ["Pat", "male", "66"]
 
 
 # --- classic codec ---------------------------------------------------------------
