@@ -361,9 +361,7 @@ def parse_blade(text: str, n: int) -> BladeIndex:
     where both readings coincide).
     """
     if len(text) == n and not set(text) - {"0", "1"}:
-        if not text:  # n = 0: the empty string names no blade
-            raise ValueError(f"not a binary blade literal: {text!r}")
-        return BladeIndex(n, int(text, 2))
+        return BladeIndex.from_bits(text)
     if len(text) == (n + 3) // 4:
         # unhexlify takes hex digits only, where int(text, 16) would also
         # take signs, spaces, underscores and a 0x prefix.

@@ -24,8 +24,9 @@ Two interchangeable codings of the same record abstraction:
   with F >= 128 + 2 * width fillers for a support of width bits, is
   counted bit-sliced instead from its second decode: plane i holds bit
   i of the support of every filler as one F-bit int, and one adder
-  tree over the planes where the record's window has its minority bit,
-  added to every filler's kept popcount, gives every distance at once.
+  tree over the plain planes where the record's window has its
+  minority digit, added with every filler's kept popcount (one addend
+  complemented), gives every distance at once.
   The vote is bit-sliced over the int bit strings: per-position counts
   are kept as a few big-int counters (counters[j] holds bit j of every
   count), summed by a carry-save tree of XOR/AND/OR full adders and
@@ -50,7 +51,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .blades import BladeIndex, _check_dims, _shorten, format_blade, parse_blade, product_sign
 from .multivector import Multivector, _add_terms
@@ -336,8 +337,10 @@ class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
     _PLANE_FILLERS_PER_BIT * width.  On its second decode a wide memory
     builds its bit planes and every entry's popcount (`_bit_planes`,
     2.2 to 4.2 ms at 2000 entries of 256 bits) and keeps them; a narrow
-    one keeps the scan.  They sit in the instance dict, outside the two
-    fields, so `==` and the fields read as before.
+    one keeps the scan.  A decode sums kept planes as they are, never a
+    complemented copy: only about a dozen count counters are
+    complemented per decode.  They sit in the instance dict, outside
+    the two fields, so `==` and the fields read as before.
     """
 
     # no __slots__: the instance dict keeps what `_planes` builds
@@ -620,6 +623,11 @@ ClassicDecodeResult = namedtuple("ClassicDecodeResult", "filler blade distance a
 _PLANE_FILLERS_BASE = 128
 _PLANE_FILLERS_PER_BIT = 2
 
+# A window's binary digits, lowest bit first, as itertools.compress
+# selectors of its planes: those where it has a 1, or those where it has a 0
+_ONE_PLANES = bytes.maketrans(b"01", b"\0\1")
+_ZERO_PLANES = bytes.maketrans(b"01", b"\1\0")
+
 
 def _bit_planes(values: tuple):
     """(shift, planes, sizes) of a wide memory's ints, or None for a narrow one.
@@ -664,12 +672,13 @@ def classic_decode(
     `hamming` written out, one XOR, one popcount and one compare per
     entry; a later equal distance only flags the tie.  From its second
     decode a wide memory is counted on its bit planes instead
-    (`_plane_decode`): the `_bit_sliced_sum` tree adds the planes where
-    the record's window has its minority bit, at most width/2 of them,
-    and one ripple-carry add puts the doubled counts onto each entry's
-    kept popcount; the nearest lanes are read from the top counter
-    down, and the record's bits outside the planes add the same to
-    every entry.
+    (`_plane_decode`): the `_bit_sliced_sum` tree adds the kept planes
+    where the record's window has its minority digit, at most width/2
+    of them, and one ripple-carry add puts the doubled counts and each
+    entry's kept popcount together, one of them complemented; the
+    nearest lanes are read from the top counter down, and the offset
+    and the record's bits outside the planes add the same to every
+    entry.
     """
     entries, values = memory
     if not entries:
@@ -697,13 +706,14 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
     """classic_decode of the unbound int u on a wide memory's kept planes.
 
     Over the planes, with w the window of u they cover, s = popcount(w),
-    |v| an entry's popcount and ~p a plane complemented within the F
-    lanes, an entry's distance is both |v| - s + 2 * sum of ~p where w
-    has a 1 and s - |v| + 2 * sum of p where w has a 0.  Only the
-    smaller of the two plane sets is summed, at most width/2 planes; one
-    ripple-carry add puts the doubled counts onto |v|, or onto its
-    complement 2^b - 1 - |v| across the b kept counters, and the lanes
-    of the smallest total are the nearest entries; the lowest wins.
+    |v| an entry's popcount and C the sum of the plain planes where w
+    has its minority digit (at most width/2 of them), an entry's
+    distance is s + |v| - 2C over the 1-planes and s - |v| + 2C over the
+    0-planes.  Both are x + (2^b - 1 - y) + s - 2^b + 1, with (x, y) =
+    (|v|, 2C) or (2C, |v|) and y complemented within the F lanes across
+    its b counters: one ripple-carry add of x and that complement, and
+    the lanes of the smallest total are the nearest entries; the lowest
+    wins.
     """
     entries = memory.entries
     shift, planes, sizes = sliced
@@ -711,19 +721,19 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
     window = u >> shift & (1 << width) - 1
     ones = window.bit_count()
     lanes = (1 << len(entries)) - 1
-    digits = format(window, f"0{width}b")[::-1]  # digit i is bit shift + i of u
-    # the record's bits outside the planes differ from every entry
-    distance = u.bit_count() - ones
+    digits = format(window, f"0{width}b").encode()[::-1]  # digit i is bit shift + i of u
     if 2 * ones <= width:
-        counts = _bit_sliced_sum([p ^ lanes for p, d in zip(planes, digits) if d == "1"])
-        distance -= ones
+        counts = _bit_sliced_sum(list(compress(planes, digits.translate(_ONE_PLANES))))
+        x, y = sizes, [0, *counts]
     else:
-        counts = _bit_sliced_sum([p for p, d in zip(planes, digits) if d == "0"])
-        sizes = [c ^ lanes for c in sizes]
-        distance += ones - (1 << len(sizes)) + 1
+        counts = _bit_sliced_sum(list(compress(planes, digits.translate(_ZERO_PLANES))))
+        x, y = [0, *counts], sizes
+    # the offset s - 2^b + 1, plus the record's bits outside the planes,
+    # which differ from every entry
+    distance = u.bit_count() - (1 << len(y)) + 1
     totals = []
     carry = 0
-    for a, b in zip_longest(sizes, [0, *counts], fillvalue=0):
+    for a, b in zip_longest(x, [c ^ lanes for c in y], fillvalue=0):
         a_xor_b = a ^ b
         totals.append(a_xor_b ^ carry)
         carry = (a & b) | (a_xor_b & carry)

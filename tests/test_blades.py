@@ -325,6 +325,7 @@ def test_literal_round_trips_binary_and_hex():
     assert format_blade(long) == long.hex and len(long.hex) == 17
     assert parse_blade(format_blade(short), 64) == short
     assert parse_blade(format_blade(long), 65) == long
+    assert parse_blade("1" + "0" * 62 + "1", 64) == BladeIndex(64, (1 << 63) | 1)
     assert BINARY_LITERAL_MAX == 64
 
 
@@ -337,6 +338,9 @@ def test_parse_blade_length_mismatch():
         parse_blade("101", 4)
     with pytest.raises(ValueError):
         parse_blade("zz", 8)
+    # at n = 0 the empty string reads as binary and names no blade
+    with pytest.raises(ValueError, match="^not a binary blade literal: ''$"):
+        parse_blade("", 0)
 
 
 @pytest.mark.parametrize(

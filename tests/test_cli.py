@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +18,6 @@ from bladebind.codec import (
     ga_decode,
     ga_encode,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -683,14 +680,12 @@ def test_bench_deterministic_op_counts(capsys):
 
 
 @pytest.mark.parametrize("n", ["0", "3"])
-def test_bench_rejects_a_too_small_size_at_once(tmp_path, n):
+def test_bench_rejects_a_too_small_size_at_once(tmp_path, src_env, n):
     # a child process with a timeout: at n=0 a blade pool that never
     # fills would hang the test run itself
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bladebind", "bench", "--n", n],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        cwd=tmp_path, env=src_env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -751,17 +746,15 @@ def test_a_negative_seed_is_a_usage_error(capsys, tmp_path, command):
     assert not out.exists()
 
 
-def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path):
+def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path, src_env):
     # the reader of a pipe left before the child wrote, as in `... | head`:
     # the shell's SIGPIPE status, and nothing on stderr
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "bladebind", "verify"],
-            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=src_env, timeout=60,
         )
     finally:
         os.close(write_end)

@@ -22,20 +22,12 @@ from bladebind.codec import (
     majority_chunk,
 )
 from bladebind.multivector import Multivector
+from bladebind.verify import fixture_table
 from decode_corpus import nearest_by_scan
 
 
 def b(text):
     return BladeIndex.from_bits(text)
-
-
-def small_table():
-    return SymbolTable(
-        n=4,
-        k=2,
-        roles={"name": b("1010"), "sex": b("0111"), "age": b("1011")},
-        fillers={"Pat": b("1100"), "male": b("1000"), "66": b("0100")},
-    )
 
 
 def empty_memory():
@@ -106,7 +98,7 @@ def test_majority_chunk_rejects_a_negative_seed_before_drawing(monkeypatch, item
 
 
 def test_classic_encode_rejects_a_negative_seed(monkeypatch):
-    table = small_table()
+    table = fixture_table()
     monkeypatch.setattr(codec.random, "Random", no_draws)
     # two pairs make an even vote whose ties would draw coins, and an
     # empty pair list still reports the seed first
@@ -178,7 +170,7 @@ def test_table_memory_is_bounded_by_the_input():
 
 
 def test_symbol_table_json_round_trip(tmp_path):
-    t = small_table()
+    t = fixture_table()
     path = tmp_path / "table.json"
     t.save(path)
     assert SymbolTable.load(path) == t
@@ -220,13 +212,13 @@ def test_record_type_discipline():
 
 
 def test_record_json_round_trips(tmp_path):
-    ga = ga_encode(small_table(), [("name", "Pat"), ("sex", "male")], [2.0, 3.0])
+    ga = ga_encode(fixture_table(), [("name", "Pat"), ("sex", "male")], [2.0, 3.0])
     path = tmp_path / "r.json"
     ga.save(path)
     back = EncodedRecord.load(path)
     assert back.codec == "ga" and back.payload == ga.payload
 
-    classic = classic_encode(small_table(), [("name", "Pat")])
+    classic = classic_encode(fixture_table(), [("name", "Pat")])
     classic.save(path)
     back = EncodedRecord.load(path)
     assert back.codec == "classic" and back.bits == classic.bits
@@ -246,15 +238,15 @@ def test_record_malformed_json():
 
 def test_cleanup_memory_validation():
     with pytest.raises(ValueError, match="unknown clean-up metric"):
-        CleanupMemory.from_table(small_table(), "similarity")
+        CleanupMemory.from_table(fixture_table(), "similarity")
     with pytest.raises(TypeError):  # only a table builds a memory
-        CleanupMemory(small_table().fillers.items())
-    mem = CleanupMemory.from_table(small_table(), "hamming")
+        CleanupMemory(fixture_table().fillers.items())
+    mem = CleanupMemory.from_table(fixture_table(), "hamming")
     assert len(mem.entries) == 3
 
 
 def test_table_keeps_one_memory_with_its_filler_column():
-    t = small_table()
+    t = fixture_table()
     mem = CleanupMemory.from_table(t, "hamming")
     assert CleanupMemory.from_table(t, "hamming") is mem
     # the column is in blade order, so its first nearest entry is the tie rule's answer
@@ -391,7 +383,7 @@ def test_hamming_equals_grade_of_xor():
 
 
 def test_classic_single_pair_round_trip():
-    t = small_table()
+    t = fixture_table()
     record = classic_encode(t, [("name", "Pat")])
     mem = CleanupMemory.from_table(t, "hamming")
     res = classic_decode(record.bits, t.roles["name"], mem)
@@ -430,13 +422,13 @@ def test_classic_encode_matches_the_checked_bind_route(n, k, m):
 )
 def test_classic_encode_rejects_unknown_names_and_no_pairs(pairs, message):
     with pytest.raises(ValueError) as exc:
-        classic_encode(small_table(), pairs)
+        classic_encode(fixture_table(), pairs)
     assert str(exc.value) == message
 
 
 def test_classic_decode_without_true_filler():
     # nearest wrong entry comes back, with its distance
-    t = small_table()
+    t = fixture_table()
     record = classic_encode(t, [("name", "Pat")])
     unbound = record.bits ^ t.roles["name"]  # equals Pat's bits
     other = SymbolTable(n=4, k=3, roles={}, fillers={"near": b("1000"), "far": b("0010")})
@@ -496,11 +488,6 @@ def test_classic_decode_checks_the_record_against_the_memory():
         classic_decode(b("1000"), BladeIndex(5, 0), empty_memory())
 
 
-def test_classic_decode_needs_hamming_memory():
-    with pytest.raises(ValueError, match="empty"):
-        classic_decode(b("1000"), b("0001"), empty_memory())
-
-
 def test_classic_three_pair_retrieval_smoke():
     hits = 0
     for seed in range(30):
@@ -534,12 +521,11 @@ def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers, monkeypa
         classic_encode(table, [(role, rng.choice(names)) for role in table.roles], seed).bits
         for seed in range(3)
     ] + [BladeIndex(n, rng.getrandbits(n)) for _ in range(3)]
-    # unbound by r0, windows of 0, k/2, k/2 + 1 and k ones: the sum over
-    # the ones, the boundary on either side, and the sum over the zeros
+    # unbound by r0, windows of 0, 1, k/2 - 1, k/2, k/2 + 1, k - 1 and k
+    # ones: the sum over the ones up to the boundary, then over the zeros
     r0 = table.roles["r0"]
-    windows = [
-        sum(1 << n - k + i for i in rng.sample(range(k), c)) for c in (0, k // 2, k // 2 + 1, k)
-    ]
+    weights = (0, 1, k // 2 - 1, k // 2, k // 2 + 1, k - 1, k)
+    windows = [sum(1 << n - k + i for i in rng.sample(range(k), c)) for c in weights]
     records += [BladeIndex(n, w | rng.getrandbits(n - k)) ^ r0 for w in windows]
     assert "planes" not in vars(memory)
     # the first decode scans; the second builds the planes, and the rest count on them
@@ -549,15 +535,21 @@ def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers, monkeypa
     # the kept counters hold every entry's popcount, entry j in lane j
     for j, v in enumerate(memory.values):
         assert sum((c >> j & 1) << i for i, c in enumerate(sizes)) == v.bit_count()
-    # each decode sums the smaller plane set: the ones up to k/2, else the zeros
+    # each decode sums the smaller plane set, the ones up to k/2, else
+    # the zeros, and sums the kept planes themselves, none complemented
     summed = []
+    kept = {id(p) for p in planes}
     tree = codec._bit_sliced_sum
-    monkeypatch.setattr(
-        codec, "_bit_sliced_sum", lambda column: summed.append(len(column)) or tree(column)
-    )
-    for bits in records[-4:]:
+
+    def sum_kept_planes(column):
+        assert all(id(p) in kept for p in column)
+        summed.append(len(column))
+        return tree(column)
+
+    monkeypatch.setattr(codec, "_bit_sliced_sum", sum_kept_planes)
+    for bits in records[-len(weights) :]:
         classic_decode(bits, r0, memory)
-    assert summed == [0, k // 2, k // 2 - 1, 0]
+    assert summed == [0, 1, k // 2 - 1, k // 2, k // 2 - 1, 1, 0]
 
 
 def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules(monkeypatch):
@@ -628,7 +620,7 @@ def test_only_a_wide_memory_keeps_planes():
 
 
 def test_ga_encode_empty_and_single():
-    t = small_table()
+    t = fixture_table()
     assert len(ga_encode(t, []).payload) == 0
     rec = ga_encode(t, [("name", "Pat")])
     r, f = t.roles["name"], t.fillers["Pat"]
@@ -639,7 +631,7 @@ def test_ga_encode_empty_and_single():
 
 
 def test_ga_encode_weight_validation():
-    t = small_table()
+    t = fixture_table()
     with pytest.raises(ValueError):
         ga_encode(t, [("name", "Pat")], [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -657,12 +649,12 @@ def test_ga_encode_refuses_weights_spelled_as_a_string(weights):
     # unknown names show that no pair is resolved before the refusal
     pairs = [("nobody", "Pat"), ("sex", "nobody"), ("age", "66")]
     with pytest.raises(TypeError, match=f"not a {type(weights).__name__}"):
-        ga_encode(small_table(), pairs, weights)
+        ga_encode(fixture_table(), pairs, weights)
 
 
 def test_ga_encode_drops_zero_sums_and_rejects_overflowing_ones():
     # the record is built without range checks, but these two rules hold
-    t = small_table()
+    t = fixture_table()
     assert len(ga_encode(t, [("name", "Pat")] * 2, [2.0, -2.0]).payload) == 0
     with pytest.raises(ValueError, match="not finite"):
         ga_encode(t, [("name", "Pat")] * 2, [1e308, 1e308])
@@ -671,7 +663,7 @@ def test_ga_encode_drops_zero_sums_and_rejects_overflowing_ones():
 def test_repeated_terms_add_up_even_when_they_share_one_float():
     # default weights are one shared 1.0, and x + x meets each of x's own
     # coefficient objects again: the sum must tell a repeat by the key
-    t = small_table()
+    t = fixture_table()
     rec = ga_encode(t, [("name", "Pat")] * 2)
     ((blade, c),) = rec.payload.items()
     assert blade == t.roles["name"] ^ t.fillers["Pat"]
@@ -702,7 +694,7 @@ def test_ga_three_pair_record_recovers_all_roles():
 
 def test_ga_decode_reports_destructive_cancellation():
     # equal weights on the two colliding pairs wipe both terms out
-    t = small_table()
+    t = fixture_table()
     rec = ga_encode(t, [("name", "Pat"), ("sex", "male"), ("age", "66")], [2.0, 3.0, 3.0])
     assert len(rec.payload) == 1  # only the name term survives
     res = ga_decode(rec, t, "sex")
@@ -726,7 +718,7 @@ def test_ga_decode_tie_lexicographic():
 
 
 def test_ga_decode_rejects_mismatches():
-    t = small_table()
+    t = fixture_table()
     rec = ga_encode(t, [("name", "Pat")])
     with pytest.raises(ValueError, match="^unknown role 'nope'$"):
         ga_decode(rec, t, "nope")

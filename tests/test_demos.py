@@ -1,6 +1,5 @@
 """Each demo script runs to completion against the source tree."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +11,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+def test_demo_runs(demo, src_env):
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=src_env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,6 @@ be imported at all; the numpy-blocked ones also set sys.modules["numpy"] = None,
 so that any import of numpy fails even where it is installed on the path."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,19 +46,15 @@ for info in pkgutil.iter_modules(bladebind.__path__):
 """
 
 
-def python(*argv, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+def python(*argv, cwd, env):
     return subprocess.run(
         [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True,
         timeout=120,
     )
 
 
-def run_cli(tmp_path, *argv):
-    proc = python("-S", "-c", CLI_PROBE, *argv, cwd=tmp_path)
+def run_cli(tmp_path, env, *argv):
+    proc = python("-S", "-c", CLI_PROBE, *argv, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "loaded:"
     return proc.stdout
@@ -74,31 +69,31 @@ def run_cli(tmp_path, *argv):
         pytest.param("classic", 10_000, 2_500, id="classic-n10000"),
     ],
 )
-def test_gen_encode_decode_never_import_numpy(tmp_path, codec, n, k):
-    run_cli(tmp_path, "gen", "--n", str(n), "--k", str(k), "--seed", "3",
+def test_gen_encode_decode_never_import_numpy(tmp_path, src_env, codec, n, k):
+    run_cli(tmp_path, src_env, "gen", "--n", str(n), "--k", str(k), "--seed", "3",
             "--roles", "a,b,c,d", "--fillers", "s,t,u,v,w,x,y,z", "--out", "t.json")
     options = ["--weights", "1,-2,0.5,3"] if codec == "ga" else ["--seed", "4"]
-    run_cli(tmp_path, "encode", "--in", "t.json", "--codec", codec,
+    run_cli(tmp_path, src_env, "encode", "--in", "t.json", "--codec", codec,
             "--pairs", "a=x,b=s,c=z,d=u", *options, "--out", "r.json")
     for role, filler in zip("abcd", "xszu"):
-        out = run_cli(tmp_path, "decode", "--in", "r.json", "--memory", "t.json",
+        out = run_cli(tmp_path, src_env, "decode", "--in", "r.json", "--memory", "t.json",
                       "--role", role)
         assert out.startswith(f"role={role} filler={filler} ")
     if codec == "ga":  # each of the other three pairs leaves one term behind
-        report = json.loads(run_cli(tmp_path, "decode", "--in", "r.json",
+        report = json.loads(run_cli(tmp_path, src_env, "decode", "--in", "r.json",
                                     "--memory", "t.json", "--role", "b", "--json"))
         assert report["residual_terms"] == 3
 
 
-def test_every_module_imports_without_numpy(tmp_path):
-    proc = python("-S", "-c", NO_NUMPY_IMPORTS, cwd=tmp_path)
+def test_every_module_imports_without_numpy(tmp_path, src_env):
+    proc = python("-S", "-c", NO_NUMPY_IMPORTS, cwd=tmp_path, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert {"bench", "cartan", "cli", "reference", "verify"} <= set(proc.stdout.split())
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["bench", "--n", "64"]])
-def test_verify_and_bench_run_without_numpy(tmp_path, argv):
-    proc = python("-S", "-c", NO_NUMPY_PROBE, *argv, cwd=tmp_path)
+def test_verify_and_bench_run_without_numpy(tmp_path, src_env, argv):
+    proc = python("-S", "-c", NO_NUMPY_PROBE, *argv, cwd=tmp_path, env=src_env)
     assert proc.returncode == 0, proc.stderr
     if argv == ["verify"]:
         assert proc.stdout == (ROOT / "tests" / "golden" / "verify.txt").read_text()
