@@ -126,7 +126,7 @@ def _bench_codec(table, wide) -> dict:
     tie-coin fill runs, and a classic decode of r1 from that record scans
     the table's filler column; a GA decode of r3 from those two pairs
     finds no filler and takes the no-hit path.  The same classic decode
-    on the wide table's memory, decoded twice first, counts on its bit
+    on the wide table's memory, decoded once first, counts on its bit
     planes where the memory is wide.  The records decoded are built
     once, before anything is timed.
     """
@@ -138,8 +138,7 @@ def _bench_codec(table, wide) -> dict:
     memory = CleanupMemory.from_table(table, "hamming")
     wide_bits = classic_encode(wide, pairs[:2]).bits
     wide_memory = CleanupMemory.from_table(wide, "hamming")
-    for _ in range(2):  # the second decode builds the planes
-        classic_decode(wide_bits, wide.roles["r1"], wide_memory)
+    classic_decode(wide_bits, wide.roles["r1"], wide_memory)  # builds the planes
     return {
         "codec_k": table.k,
         "codec_fillers": len(table.fillers),

@@ -98,20 +98,6 @@ class BladeIndex:
         _set_below_mask(self, None)
         _set_low(self, None)
 
-    @classmethod
-    def _trusted(cls, n: int, value: int) -> "BladeIndex":
-        """Internal constructor for a value the caller knows fits in n >= 1 bits.
-
-        No range check: an XOR of two n-bit values, or a vote over them,
-        stays in range.
-        """
-        self = object.__new__(cls)
-        _set_n(self, n)
-        _set_value(self, value)
-        _set_below_mask(self, None)
-        _set_low(self, None)
-        return self
-
     def __setattr__(self, name, val):
         raise AttributeError("BladeIndex is immutable")
 
@@ -161,7 +147,7 @@ class BladeIndex:
         if not isinstance(other, BladeIndex):
             return NotImplemented
         _check_dims(self, other)
-        return BladeIndex._trusted(self.n, self.value ^ other.value)
+        return BladeIndex(self.n, self.value ^ other.value)
 
     # --- plumbing ---------------------------------------------------------
 
@@ -211,17 +197,6 @@ class SignedBlade:
         _set_sign(self, sign)
         _set_index(self, index)
 
-    @classmethod
-    def _trusted(cls, sign: int, index: BladeIndex) -> "SignedBlade":
-        """Internal constructor for a sign the caller knows is the int +1 or -1.
-
-        The negation of such an int is one, so `__neg__` needs no check.
-        """
-        self = object.__new__(cls)
-        _set_sign(self, sign)
-        _set_index(self, index)
-        return self
-
     def __setattr__(self, name, val):
         raise AttributeError("SignedBlade is immutable")
 
@@ -241,7 +216,7 @@ class SignedBlade:
         return geometric_product(self, other)
 
     def __neg__(self) -> "SignedBlade":
-        return SignedBlade._trusted(-self.sign, self.index)
+        return SignedBlade(-self.sign, self.index)
 
     def __repr__(self) -> str:
         mark = "+" if self.sign > 0 else "-"

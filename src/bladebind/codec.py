@@ -22,7 +22,7 @@ Two interchangeable codings of the same record abstraction:
   filler, with no blade unpacked until the winner is known, and the
   first nearest filler is the tie rule's answer.  A wide memory, one
   with F >= 128 + 2 * width fillers for a support of width bits, is
-  counted bit-sliced instead from its second decode: plane i holds bit
+  counted bit-sliced instead from its first decode: plane i holds bit
   i of the support of every filler as one F-bit int, and one adder
   tree over the plain planes where the record's window has its
   minority digit, added with every filler's kept popcount (one addend
@@ -51,6 +51,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
+from functools import cached_property
 from itertools import compress, zip_longest
 
 from .blades import BladeIndex, _check_dims, _shorten, format_blade, parse_blade, product_sign
@@ -249,10 +250,10 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
     if len(set(names)) != len(names):
         raise ValueError("duplicate symbol name")
     # c <= 2^b - 1 exactly when c.bit_length() <= b, and 2^n is never built
-    if len(filler_names).bit_length() > k or len(names).bit_length() > n:
-        raise ValueError(
-            f"n={_shorten(str(n))}, k={_shorten(str(k))} cannot host {len(names)} distinct symbols"
-        )
+    if len(filler_names).bit_length() > k:
+        raise ValueError(f"k={_shorten(str(k))} cannot host {len(filler_names)} distinct fillers")
+    if len(names).bit_length() > n:
+        raise ValueError(f"n={_shorten(str(n))} cannot host {len(names)} distinct symbols")
 
     rng = random.Random(seed)
     used: set[int] = set()
@@ -334,33 +335,48 @@ class CleanupMemory(namedtuple("CleanupMemory", "entries values")):
 
     A memory of F entries whose support (the span of the OR of its
     ints) is width bits wide is wide when F >= _PLANE_FILLERS_BASE +
-    _PLANE_FILLERS_PER_BIT * width.  On its second decode a wide memory
-    builds its bit planes and every entry's popcount (`_bit_planes`,
-    2.2 to 4.2 ms at 2000 entries of 256 bits) and keeps them; a narrow
-    one keeps the scan.  A decode sums kept planes as they are, never a
-    complemented copy: only about a dozen count counters are
-    complemented per decode.  They sit in the instance dict, outside
-    the two fields, so `==` and the fields read as before.
+    _PLANE_FILLERS_PER_BIT * width.  On its first decode a wide memory
+    builds its bit planes and every entry's popcount (`_planes`, about
+    1 to 2 ms at 1000 to 2000 entries of 256 bits) and keeps them; a
+    narrow one keeps None and scans.  Nothing is built before that
+    decode, so a table load builds nothing.  A decode sums kept planes
+    as they are, never a complemented copy: only about a dozen count
+    counters are complemented per decode.  They sit in the instance
+    dict, outside the two fields, so `==` and the fields read as before.
     """
 
     # no __slots__: the instance dict keeps what `_planes` builds
 
+    @cached_property
     def _planes(self):
-        """(shift, planes, sizes) for classic_decode to count with, or None to scan.
+        """(shift, planes, sizes) of a wide memory's ints, or None for a narrow one.
 
-        The first call only marks the memory, so a memory decoded once
-        builds nothing.  The second builds the bit planes of a wide
-        memory, or finds the memory narrow, and keeps the answer for
-        every later call.
+        shift and width are the lowest set bit and the span of the OR of
+        the ints.  Plane i holds bit shift + i of every entry as one int,
+        entry j at bit j.  Each entry's shifted int is written as
+        ceil(width/8) little-endian bytes and the whole row is reversed
+        once, so every byte column, read with that stride, lists the last
+        entry first; each bit of it is one translate to "0"/"1" digits and
+        one base-2 int.  sizes is every entry's popcount, bit-sliced like
+        the planes: one `_bit_sliced_sum` over them, so sizes[j] holds bit
+        j of each entry's count.
         """
-        kept = self.__dict__
-        if "planes" in kept:
-            return kept["planes"]
-        if kept.pop("decoded", False):
-            kept["planes"] = planes = _bit_planes(self.values)
-            return planes
-        kept["decoded"] = True
-        return None
+        values = self.values
+        support = 0
+        for v in values:
+            support |= v
+        shift = (support & -support).bit_length() - 1
+        width = support.bit_length() - shift
+        if len(values) < _PLANE_FILLERS_BASE + _PLANE_FILLERS_PER_BIT * width:
+            return None
+        size = (width + 7) // 8
+        rows = b"".join([(v >> shift).to_bytes(size, "little") for v in values])[::-1]
+        planes = []
+        for c in range(size):
+            column = rows[size - 1 - c :: size]
+            for digits in _BIT_DIGITS[: width - 8 * c]:
+                planes.append(int(column.translate(digits), 2))
+        return shift, planes, _bit_sliced_sum(planes[:])
 
     @classmethod
     def from_table(cls, table: SymbolTable, metric: str) -> "CleanupMemory":
@@ -486,24 +502,17 @@ def majority_chunk(items, seed: int) -> BladeIndex:
     """Per-position majority vote; exact ties resolved by a seeded coin.
 
     Every item must have the first item's dimension.  `_majority` votes
-    on their bits; each item is checked as the vote unwraps it, after
-    the vote's own seed check, so a mixed list with a negative seed
-    still reports the seed.
+    on their bits and checks the seed and the empty list first, so a
+    mixed list with a negative seed still reports the seed; the
+    dimensions are checked after the vote.
     """
-    n = None
-
-    def values():
-        nonlocal n
-        for b in items:
-            if n is None:
-                n = b.n
-            elif b.n != n:
-                raise ValueError(f"mixed dimensions in majority vote: {b.n} vs {n}")
-            yield b.value
-
-    bits = _majority(values(), seed)
-    # every item has n bits, so the vote does too
-    return BladeIndex._trusted(n, bits)
+    items = list(items)
+    bits = _majority([b.value for b in items], seed)
+    n = items[0].n
+    for b in items:
+        if b.n != n:
+            raise ValueError(f"mixed dimensions in majority vote: {b.n} vs {n}")
+    return BladeIndex(n, bits)
 
 
 def _majority(values, seed: int) -> int:
@@ -541,8 +550,7 @@ def _majority(values, seed: int) -> int:
             above |= equal & count_bit
             equal &= ~count_bit
     if m % 2 == 0 and equal:
-        # leading zeros would only pad the template with literal 0s
-        above |= _coin_flips(equal, equal.bit_length(), seed)
+        above |= _coin_flips(equal, seed)
     return above
 
 
@@ -578,7 +586,7 @@ def _bit_sliced_sum(column: list) -> list:
 _BIT_DIGITS = tuple((b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8))
 
 
-def _coin_flips(ties: int, n: int, seed: int) -> int:
+def _coin_flips(ties: int, seed: int) -> int:
     """One seeded coin per set bit of ties, drawn from position 1 onwards.
 
     The coin stream is that of getrandbits(1) called once per tie: such
@@ -589,8 +597,9 @@ def _coin_flips(ties: int, n: int, seed: int) -> int:
     binary digits, with each 1 turned into %c, are the template that
     one bytes % pass fills with those coins in position order; the
     template holds only 0s besides, so nothing else is a conversion.
+    Leading zeros would only pad it with literal 0s, so it has none.
     """
-    template = format(ties, f"0{n}b").encode().replace(b"1", b"%c")
+    template = format(ties, "b").encode().replace(b"1", b"%c")
     t = ties.bit_count()
     words = random.Random(seed).getrandbits(32 * t).to_bytes(4 * t, "little")
     return int(template % tuple(words[3::4].translate(_BIT_DIGITS[7])), 2)
@@ -610,7 +619,7 @@ def classic_encode(table: SymbolTable, pairs, seed: int = 0) -> EncodedRecord:
         role = roles.get(role_name) or _resolve(roles, role_name, "role")
         filler = fillers.get(filler_name) or _resolve(fillers, filler_name, "filler")
         bound.append(role.value ^ filler.value)
-    return EncodedRecord(CLASSIC, bits=BladeIndex._trusted(table.n, _majority(bound, seed)))
+    return EncodedRecord(CLASSIC, bits=BladeIndex(table.n, _majority(bound, seed)))
 
 
 ClassicDecodeResult = namedtuple("ClassicDecodeResult", "filler blade distance ambiguous")
@@ -618,7 +627,7 @@ ClassicDecodeResult = namedtuple("ClassicDecodeResult", "filler blade distance a
 
 # A memory of F entries over a support of width bits is wide when
 # F >= _PLANE_FILLERS_BASE + _PLANE_FILLERS_PER_BIT * width: from its
-# second decode, classic_decode counts on its bit planes.  Below that
+# first decode, classic_decode counts on its bit planes.  Below that
 # the planes' fixed cost per decode loses to the scan (README sweep).
 _PLANE_FILLERS_BASE = 128
 _PLANE_FILLERS_PER_BIT = 2
@@ -629,36 +638,6 @@ _ONE_PLANES = bytes.maketrans(b"01", b"\0\1")
 _ZERO_PLANES = bytes.maketrans(b"01", b"\1\0")
 
 
-def _bit_planes(values: tuple):
-    """(shift, planes, sizes) of a wide memory's ints, or None for a narrow one.
-
-    shift and width are the lowest set bit and the span of the OR of
-    the ints.  Plane i holds bit shift + i of every entry as one int,
-    entry j at bit j.  Each entry's shifted int is written as
-    ceil(width/8) little-endian bytes and the whole row is reversed
-    once, so every byte column, read with that stride, lists the last
-    entry first; each bit of it is one translate to "0"/"1" digits and
-    one base-2 int.  sizes is every entry's popcount, bit-sliced like
-    the planes: one `_bit_sliced_sum` over them, so sizes[j] holds bit
-    j of each entry's count.
-    """
-    support = 0
-    for v in values:
-        support |= v
-    shift = (support & -support).bit_length() - 1
-    width = support.bit_length() - shift
-    if len(values) < _PLANE_FILLERS_BASE + _PLANE_FILLERS_PER_BIT * width:
-        return None
-    size = (width + 7) // 8
-    rows = b"".join([(v >> shift).to_bytes(size, "little") for v in values])[::-1]
-    planes = []
-    for c in range(size):
-        column = rows[size - 1 - c :: size]
-        for digits in _BIT_DIGITS[: width - 8 * c]:
-            planes.append(int(column.translate(digits), 2))
-    return shift, planes, _bit_sliced_sum(planes[:])
-
-
 def classic_decode(
     record_bits: BladeIndex, role: BladeIndex, memory: CleanupMemory
 ) -> ClassicDecodeResult:
@@ -667,18 +646,17 @@ def classic_decode(
     Ties go to the lexicographically smallest blade and are flagged:
     the memory is in blade order, so both paths take the first nearest
     entry.  The memory holds one dimension, so the record is checked
-    against it once.  A narrow memory, and any memory on its first
-    decode, is scanned: the column of raw ints alone, with the distance
-    `hamming` written out, one XOR, one popcount and one compare per
-    entry; a later equal distance only flags the tie.  From its second
-    decode a wide memory is counted on its bit planes instead
-    (`_plane_decode`): the `_bit_sliced_sum` tree adds the kept planes
-    where the record's window has its minority digit, at most width/2
-    of them, and one ripple-carry add puts the doubled counts and each
-    entry's kept popcount together, one of them complemented; the
-    nearest lanes are read from the top counter down, and the offset
-    and the record's bits outside the planes add the same to every
-    entry.
+    against it once.  A narrow memory is scanned: the column of raw
+    ints alone, with the distance `hamming` written out, one XOR, one
+    popcount and one compare per entry; a later equal distance only
+    flags the tie.  From its first decode a wide memory is counted on
+    its bit planes instead (`_plane_decode`): the `_bit_sliced_sum`
+    tree adds the kept planes where the record's window has its
+    minority digit, at most width/2 of them, and one ripple-carry add
+    puts the doubled counts and each entry's kept popcount together,
+    one of them complemented; the nearest lanes are read from the top
+    counter down, and the offset and the record's bits outside the
+    planes add the same to every entry.
     """
     entries, values = memory
     if not entries:
@@ -686,7 +664,7 @@ def classic_decode(
     unbound = record_bits ^ role
     _check_dims(unbound, entries[0][1])
     u = unbound.value
-    sliced = memory._planes()
+    sliced = memory._planes
     if sliced is not None:
         return _plane_decode(u, sliced, memory)
     best_d = unbound.n + 1  # farther than any entry

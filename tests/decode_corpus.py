@@ -10,8 +10,9 @@ the SHA-256 of those lines.  tests/golden/decode_corpus.txt holds one
 
 Every classic decode is also checked against `nearest_by_scan`, the
 reference clean-up, twice: on a fresh copy of the table, whose memory
-scans on its first decode, and on the block's own table, whose wide
-memory counts on bit planes from its second decode on.
+is decoded for the first time, and on the block's own table, whose
+memory is kept across decodes.  A wide memory counts on bit planes
+from its first decode, so both run on planes there.
 
 Check the corpus, and rewrite the golden file after a change that is
 meant to change an answer (say which and why in CHANGES.md):
@@ -48,7 +49,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "decode_corpus.txt"
 
 # n -> (k, fillers, roles).  Only n = 1024, at wide-memory's shape, is a
 # wide memory (F >= 128 + 2 * width) that counts on bit planes from its
-# second decode.  The others scan: n = 6 from bit 0 (k = n), n = 16 at
+# first decode.  The others scan: n = 6 from bit 0 (k = n), n = 16 at
 # every 4-bit prefix, n = 80 crowded into 8 bits, and n = 10,000 at
 # bind-stream's shape.
 SIZES = {
@@ -204,8 +205,8 @@ def classic_lines(n: int, seed: int, problems: list) -> list:
         for role in roles:
             role_blade = table.roles[role]
             want = nearest_by_scan(bits.value ^ role_blade.value, table)
-            # a fresh table's memory scans on its first decode; the
-            # block's memory counts on planes from its second on, if wide
+            # a fresh table's memory on its first decode, which builds
+            # its planes if wide; the block's memory keeps them
             fresh = SymbolTable(n, table.k, table.roles, table.fillers)
             first = CleanupMemory.from_table(fresh, "hamming")
             for how, mem in (("first", first), ("kept", memory)):

@@ -62,6 +62,22 @@ def test_gen_rejects_bad_k(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "n, k, roles, fillers, message",
+    [
+        ("8", "2", "a", "x,y,z,w", "k=2 cannot host 4 distinct fillers"),
+        ("2", "1", "a,b,c", "x", "n=2 cannot host 4 distinct symbols"),
+    ],
+    ids=["fillers", "symbols"],
+)
+def test_gen_names_the_capacity_that_fails(capsys, tmp_path, n, k, roles, fillers, message):
+    out = tmp_path / "t.json"
+    err = assert_usage_error(capsys, "gen", "--n", n, "--k", k, "--roles", roles,
+                             "--fillers", fillers, "--out", str(out))
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("roles", ["a,,b", "", "a, ,b", ",a"])
 def test_gen_rejects_an_empty_name_and_writes_nothing(capsys, tmp_path, roles):
     out = tmp_path / "t.json"
@@ -700,7 +716,7 @@ def test_bench_checks_every_size_before_timing(capsys, monkeypatch):
     rc, out, err = run(capsys, "bench", "--n", "64", "--n", "3")
     assert rc == 2
     assert out == ""
-    assert err == "error: n=3, k=1 cannot host 6 distinct symbols\n"
+    assert err == "error: k=1 cannot host 3 distinct fillers\n"
 
 
 HUGE = "9" * 4001  # digits; int() still parses it, but 1 << HUGE overflows

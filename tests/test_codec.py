@@ -322,7 +322,7 @@ def test_coin_flips_match_one_draw_per_tie(n):
     rng = random.Random(n)
     for ties in tie_masks(n, rng):
         for seed in (0, 1, rng.getrandbits(64)):
-            assert _coin_flips(ties, n, seed) == reference_coin_flips(ties, n, seed)
+            assert _coin_flips(ties, seed) == reference_coin_flips(ties, n, seed)
 
 
 def reference_majority(items, seed):
@@ -527,10 +527,10 @@ def test_classic_decode_on_a_wide_table_matches_the_scan(n, k, fillers, monkeypa
     weights = (0, 1, k // 2 - 1, k // 2, k // 2 + 1, k - 1, k)
     windows = [sum(1 << n - k + i for i in rng.sample(range(k), c)) for c in weights]
     records += [BladeIndex(n, w | rng.getrandbits(n - k)) ^ r0 for w in windows]
-    assert "planes" not in vars(memory)
-    # the first decode scans; the second builds the planes, and the rest count on them
+    assert "_planes" not in vars(memory)
+    # the first decode builds the planes, and every decode counts on them
     assert_decodes_match_the_scan(records, table.roles.values(), table)
-    shift, planes, sizes = vars(memory)["planes"]
+    shift, planes, sizes = vars(memory)["_planes"]
     assert (shift, len(planes)) == (n - k, k)
     # the kept counters hold every entry's popcount, entry j in lane j
     for j, v in enumerate(memory.values):
@@ -569,7 +569,7 @@ def test_classic_decode_on_planes_from_bit_zero_keeps_the_tie_rules(monkeypatch)
     assert len(memory.values) >= 3 * n
     records = [BladeIndex(n, v) for v in range(1 << n)]
     assert_decodes_match_the_scan(records, [BladeIndex(n, 0)], table)
-    assert vars(memory)["planes"][0] == 0
+    assert vars(memory)["_planes"][0] == 0
     res = classic_decode(BladeIndex(n, 0b1000000001), BladeIndex(n, 0), memory)
     assert (res.filler, res.distance, res.ambiguous) == ("f0", 0, False)
     res = classic_decode(BladeIndex(n, 0b0000000111), BladeIndex(n, 0), memory)
@@ -587,15 +587,15 @@ def test_classic_decode_on_planes_counts_record_bits_outside_them(monkeypatch):
     role = BladeIndex(n, 0)
     records = [BladeIndex(n, v) for v in (0b1111_000000_1111, 0b1000_010101_0001, 0x03F0, 0xFFFF)]
     assert_decodes_match_the_scan(records, [role, BladeIndex(n, 0b1100_000000_0011)], table)
-    assert vars(memory)["planes"][0] == 4
+    assert vars(memory)["_planes"][0] == 4
     res = classic_decode(BladeIndex(n, 0b1111_000001_1111), role, memory)
     assert (res.filler, res.distance) == ("f1", 8)
 
 
-def test_only_a_wide_memory_keeps_planes():
+def test_only_a_wide_memory_keeps_planes(monkeypatch):
     # bind-stream's shape keeps the scan; wide-memory's and cli-pipeline's
-    # count on planes from their second decode, and a memory decoded once
-    # builds nothing.  The rule's edge, F = 128 + 2 * width, at widths 256 and 64.
+    # build their planes once, on the first decode, and count on them
+    # from it.  The rule's edge, F = 128 + 2 * width, at widths 256 and 64.
     shapes = (
         (10_000, 2500, 64, False),
         (1024, 256, 2000, True),
@@ -605,15 +605,29 @@ def test_only_a_wide_memory_keeps_planes():
         (256, 64, 255, False),
         (256, 64, 256, True),
     )
+    build = CleanupMemory._planes.func
+    builds = []
+
+    def counted_build(memory):
+        builds.append(memory)
+        return build(memory)
+
+    monkeypatch.setattr(CleanupMemory._planes, "func", counted_build)
     for n, k, fillers, wide in shapes:
         table = gen_symbols(1, n, k, ["r"], [f"f{i}" for i in range(fillers)])
         memory = CleanupMemory.from_table(table, "hamming")
+        assert "_planes" not in vars(memory)
         record = classic_encode(table, [("r", "f7")]).bits
-        classic_decode(record, table.roles["r"], memory)
-        assert "planes" not in vars(memory)
-        for _ in range(3):
-            assert classic_decode(record, table.roles["r"], memory).filler == "f7"
-        assert (vars(memory)["planes"] is not None) == wide
+        role = table.roles["r"]
+        builds.clear()
+        res = classic_decode(record, role, memory)
+        assert builds == [memory]
+        assert tuple(res) == nearest_by_scan((record ^ role).value, table)
+        assert res.filler == "f7"
+        for _ in range(9):
+            assert classic_decode(record, role, memory).filler == "f7"
+        assert builds == [memory]
+        assert (vars(memory)["_planes"] is not None) == wide
 
 
 # --- GA codec ----------------------------------------------------------------

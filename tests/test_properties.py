@@ -452,7 +452,7 @@ def test_classic_decode_on_planes_matches_the_distance_scan(table, data):
                 assert (res.filler, res.blade, res.distance, res.ambiguous) == nearest_by_scan(
                     bits.value ^ role.value, table
                 )
-    assert vars(memory)["planes"] is not None
+    assert vars(memory)["_planes"] is not None
 
 
 # --- classic majority vote against two independent votes ---------------------------
