@@ -633,9 +633,8 @@ _PLANE_FILLERS_BASE = 128
 _PLANE_FILLERS_PER_BIT = 2
 
 # A window's binary digits, lowest bit first, as itertools.compress
-# selectors of its planes: those where it has a 1, or those where it has a 0
+# selectors of the planes where it has a 1
 _ONE_PLANES = bytes.maketrans(b"01", b"\0\1")
-_ZERO_PLANES = bytes.maketrans(b"01", b"\1\0")
 
 
 def classic_decode(
@@ -645,8 +644,8 @@ def classic_decode(
 
     Ties go to the lexicographically smallest blade and are flagged:
     the memory is in blade order, so both paths take the first nearest
-    entry.  The memory holds one dimension, so the record is checked
-    against it once.  A narrow memory is scanned: the column of raw
+    entry.  The role is checked against the record, then the memory,
+    and the raw ints XORed.  A narrow memory is scanned: the column of raw
     ints alone, with the distance `hamming` written out, one XOR, one
     popcount and one compare per entry; a later equal distance only
     flags the tie.  From its first decode a wide memory is counted on
@@ -661,27 +660,29 @@ def classic_decode(
     entries, values = memory
     if not entries:
         raise ValueError("clean-up memory is empty")
-    unbound = record_bits ^ role
-    _check_dims(unbound, entries[0][1])
-    u = unbound.value
+    _check_dims(record_bits, role)
+    _check_dims(role, entries[0][1])
+    u = record_bits.value ^ role.value
     sliced = memory._planes
     if sliced is not None:
-        return _plane_decode(u, sliced, memory)
-    best_d = unbound.n + 1  # farther than any entry
-    ambiguous = False
-    for v in values:
-        d = (u ^ v).bit_count()
-        if d <= best_d:
-            if d < best_d:
-                best_d, best, ambiguous = d, v, False
-            else:
-                ambiguous = True
-    name, blade = entries[values.index(best)]
-    return ClassicDecodeResult(filler=name, blade=blade, distance=best_d, ambiguous=ambiguous)
+        position, distance, ambiguous = _plane_decode(u, sliced, len(entries))
+    else:
+        distance = role.n + 1  # farther than any entry
+        ambiguous = False
+        for v in values:
+            d = (u ^ v).bit_count()
+            if d <= distance:
+                if d < distance:
+                    distance, best, ambiguous = d, v, False
+                else:
+                    ambiguous = True
+        position = values.index(best)
+    name, blade = entries[position]
+    return ClassicDecodeResult(filler=name, blade=blade, distance=distance, ambiguous=ambiguous)
 
 
-def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecodeResult:
-    """classic_decode of the unbound int u on a wide memory's kept planes.
+def _plane_decode(u: int, sliced: tuple, count: int) -> tuple:
+    """(position, distance, ambiguous) of the unbound int u on count entries' kept planes.
 
     Over the planes, with w the window of u they cover, s = popcount(w),
     |v| an entry's popcount and C the sum of the plain planes where w
@@ -693,22 +694,19 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
     the lanes of the smallest total are the nearest entries; the lowest
     wins.
     """
-    entries = memory.entries
     shift, planes, sizes = sliced
     width = len(planes)
     window = u >> shift & (1 << width) - 1
-    ones = window.bit_count()
-    lanes = (1 << len(entries)) - 1
-    digits = format(window, f"0{width}b").encode()[::-1]  # digit i is bit shift + i of u
-    if 2 * ones <= width:
-        counts = _bit_sliced_sum(list(compress(planes, digits.translate(_ONE_PLANES))))
-        x, y = sizes, [0, *counts]
-    else:
-        counts = _bit_sliced_sum(list(compress(planes, digits.translate(_ZERO_PLANES))))
-        x, y = [0, *counts], sizes
+    ones_minority = 2 * window.bit_count() <= width
+    if not ones_minority:
+        window ^= (1 << width) - 1  # its 1s are the planes where w has a 0
+    digits = format(window, f"0{width}b").encode()[::-1]  # digit i is bit shift + i
+    counts = [0, *_bit_sliced_sum(list(compress(planes, digits.translate(_ONE_PLANES))))]
+    x, y = (sizes, counts) if ones_minority else (counts, sizes)
     # the offset s - 2^b + 1, plus the record's bits outside the planes,
     # which differ from every entry
     distance = u.bit_count() - (1 << len(y)) + 1
+    lanes = (1 << count) - 1
     totals = []
     carry = 0
     for a, b in zip_longest(x, [c ^ lanes for c in y], fillvalue=0):
@@ -722,9 +720,7 @@ def _plane_decode(u: int, sliced: tuple, memory: CleanupMemory) -> ClassicDecode
             lanes = lower
         else:
             distance += 1 << j
-    ambiguous = lanes & (lanes - 1) != 0
-    name, blade = entries[(lanes & -lanes).bit_length() - 1]
-    return ClassicDecodeResult(filler=name, blade=blade, distance=distance, ambiguous=ambiguous)
+    return (lanes & -lanes).bit_length() - 1, distance, lanes & (lanes - 1) != 0
 
 
 def hamming(a: BladeIndex, b: BladeIndex) -> int:

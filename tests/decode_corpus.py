@@ -1,4 +1,4 @@
-"""A seeded corpus of encodes and decodes, pinned by one SHA-256 per block.
+"""Every pinned output: the decode corpus's block digests and the golden CLI files.
 
 A block is one codec at one dimension n and one seed.  It builds a
 symbol table with `gen_symbols`, encodes records into it, decodes every
@@ -14,8 +14,14 @@ is decoded for the first time, and on the block's own table, whose
 memory is kept across decodes.  A wide memory counts on bit planes
 from its first decode, so both run on planes there.
 
-Check the corpus, and rewrite the golden file after a change that is
-meant to change an answer (say which and why in CHANGES.md):
+After the blocks it runs verify, and gen, encode and decode at n = 16
+(binary literals) and n = 80 (hex), in-process in a temporary
+directory; each other file in tests/golden that differs byte for byte
+from what they print or write is named.  The n = 16 classic decode of
+sex is the one golden tie.
+
+Check both, and rewrite the digests after a change that is meant to
+change an answer (say which and why in CHANGES.md):
 
     PYTHONPATH=src python tests/decode_corpus.py
     PYTHONPATH=src python tests/decode_corpus.py --write
@@ -25,11 +31,15 @@ under `python -S`, where numpy cannot be imported.
 """
 
 import hashlib
+import io
 import json
 import random
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
+from bladebind import cli
 from bladebind.blades import BladeIndex, format_blade
 from bladebind.codec import (
     GA,
@@ -269,8 +279,44 @@ def read_golden() -> dict:
     return pinned
 
 
+def run_cli(*argv) -> bytes:
+    """The stdout of one in-process `bladebind` command, which must exit 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        if cli.main(list(argv)):
+            raise RuntimeError(f"bladebind {' '.join(argv)} failed")
+    return out.getvalue().encode()
+
+
+def cli_outputs(folder: Path) -> dict:
+    """{golden file name: the bytes the CLI prints or writes for it}, written in folder."""
+    outputs = {"verify.txt": run_cli("verify"), "verify.json": run_cli("verify", "--json")}
+    outputs["decode.txt"] = b""
+    for n in (16, 80):
+        paths = [folder / f"{kind}{n}.json" for kind in ("table", "ga", "classic")]
+        table, ga, classic = map(str, paths)
+        run_cli("gen", "--n", str(n), "--k", str(n // 4), "--seed", "7",
+                "--roles", "name,sex,age", "--fillers", "Pat,male,66", "--out", table)
+        run_cli("encode", "--in", table, "--pairs", "name=Pat,sex=male,age=66",
+                "--weights", "2,3,5", "--out", ga)
+        run_cli("encode", "--in", table, "--codec", "classic",
+                "--pairs", "name=Pat,sex=male", "--seed", "1", "--out", classic)
+        outputs.update((path.name, path.read_bytes()) for path in paths)
+        for record in (ga, classic):
+            for role in ("name", "sex"):
+                outputs["decode.txt"] += run_cli(
+                    "decode", "--in", record, "--memory", table, "--role", role
+                )
+    return outputs
+
+
+def golden_cli_files() -> set:
+    """The names of the golden files that the CLI sequence prints or writes."""
+    return {path.name for path in GOLDEN.parent.iterdir()} - {GOLDEN.name}
+
+
 def check() -> list:
-    """Every way the corpus differs from its golden file, one line each."""
+    """Every way the corpus and the CLI differ from their golden files, one line each."""
     found, problems = digests()
     pinned = read_golden()
     for name in found.keys() | pinned.keys():
@@ -280,6 +326,12 @@ def check() -> list:
             problems.append(f"{name}: in {GOLDEN.name} but no longer in the corpus")
         elif found[name] != pinned[name]:
             problems.append(f"{name}: digest {found[name]} differs from {pinned[name]}")
+    with tempfile.TemporaryDirectory() as folder:
+        outputs = cli_outputs(Path(folder))
+    for name in outputs.keys() | golden_cli_files():
+        golden = GOLDEN.with_name(name)
+        if not golden.exists() or outputs.get(name) != golden.read_bytes():
+            problems.append(f"{name}: the CLI's output differs from the golden file")
     return sorted(problems)
 
 
@@ -296,7 +348,8 @@ def main(argv) -> int:
         print("usage: decode_corpus.py [--write]", file=sys.stderr)
         return 2
     problems = check()
-    print("\n".join(problems) or f"{len(read_golden())} blocks match {GOLDEN.name}")
+    print("\n".join(problems) or f"{len(read_golden())} blocks match {GOLDEN.name}, "
+          f"and {len(golden_cli_files())} golden CLI files match")
     return 1 if problems else 0
 
 

@@ -254,7 +254,7 @@ def test_blade_index_is_immutable():
 
 
 @pytest.mark.parametrize("n, value", [(1, 1), (4, 0b1010), (64, 2**64 - 1), (100, 3 << 97)])
-def test_trusted_blade_index_is_the_checked_one(n, value):
+def test_product_sign_fills_the_empty_caches_of_an_immutable_blade(n, value):
     checked = BladeIndex(n, value)
     # product_sign caches the left factor's prefix-parity mask and the
     # right factor's lowest set bit; the value stays the same
@@ -268,7 +268,7 @@ def test_trusted_blade_index_is_the_checked_one(n, value):
     assert (checked.n, checked.value) == (n, value)
 
 
-def test_trusted_signed_blade_is_the_checked_one():
+def test_signed_blade_sign_is_an_immutable_int_and_products_check_dimensions():
     for sign in (1, -1):
         with pytest.raises(AttributeError):
             sb(sign, "0110").sign = -sign
@@ -298,6 +298,7 @@ def test_signed_blade_is_an_immutable_hashable_value():
     twin = SignedBlade(1, b("1010"))
     assert x == twin and hash(x) == hash(twin)
     assert len({x, twin, -x}) == 2
+    assert (repr(x), repr(-x)) == ("SignedBlade(+1010)", "SignedBlade(-1010)")
 
 
 def test_dimension_mismatch_raises():

@@ -62,7 +62,7 @@ def test_gen_symbols_unconstrained_when_k_equals_n():
     assert t.k == t.n == 16
 
 
-def test_gen_symbols_rejects_bad_requests():
+def test_gen_symbols_rejects_bad_requests(monkeypatch):
     with pytest.raises(ValueError):
         gen_symbols(0, 8, 0, ["r"], ["f"])
     with pytest.raises(ValueError):
@@ -73,6 +73,9 @@ def test_gen_symbols_rejects_bad_requests():
         gen_symbols(0, 8, 1, ["r"], ["f1", "f2"])  # one nonzero 1-bit prefix only
     with pytest.raises(ValueError):
         gen_symbols(0, 2, 2, ["r1", "r2"], ["f1", "f2"])  # 3 strings available
+    monkeypatch.setattr(codec, "MAX_DRAW_TRIES", 0)
+    with pytest.raises(ValueError, match="could not draw 2 distinct symbols at n=8, k=8"):
+        gen_symbols(0, 8, 8, ["r"], ["f"])
 
 
 def no_draws(*args):

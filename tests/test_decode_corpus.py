@@ -1,8 +1,8 @@
-"""The seeded decode corpus matches its golden digests, run without numpy.
+"""The decode corpus and the golden CLI files match, run without numpy.
 
-The corpus and its regeneration command are in tests/decode_corpus.py.
-The child runs under `python -S`, so site-packages, and numpy with it,
-cannot be imported.
+tests/decode_corpus.py checks the corpus digests and the golden CLI
+files, and holds the corpus's regeneration command.  The child runs
+under `python -S`, so site-packages, and numpy with it, cannot be imported.
 """
 
 import subprocess
@@ -18,4 +18,4 @@ def test_every_corpus_block_matches_its_golden_digest(src_env):
         env=src_env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stdout + child.stderr
-    assert child.stdout == "20 blocks match decode_corpus.txt\n"
+    assert child.stdout == "20 blocks match decode_corpus.txt, and 9 golden CLI files match\n"

@@ -51,6 +51,7 @@ def test_product_distributes_over_terms():
     c = mv([(3.0, "0110")])
     z = mv([(1.0, "0001")])
     assert (a + c).gp(z) == a.gp(z) + c.gp(z)
+    assert a * z == a.gp(z)
 
 
 def test_single_blade_product_matches_signed_blade():
@@ -81,6 +82,10 @@ def test_reverse_is_an_involution():
 def test_scalar_part():
     assert mv([(7.0, "0000"), (1.0, "1000")]).scalar_part() == 7.0
     assert mv([(1.0, "1000")]).scalar_part() == 0.0
+    x = mv([(7.0, "0110")])
+    assert x.coeff(BladeIndex.from_bits("0110")) == 7.0
+    assert x.coeff(BladeIndex.from_bits("1000")) == 0.0
+    assert x.coeff(BladeIndex.from_bits("01100")) == 0.0
 
 
 def test_project_to_support():
@@ -188,6 +193,8 @@ def test_dimension_checks():
         mv([(1.0, "10")], 2).gp(mv([(1.0, "100")], 3))
     with pytest.raises(ValueError):
         Multivector(3, {BladeIndex.from_bits("10"): 1.0})
+    with pytest.raises(ValueError):
+        Multivector(0)
 
 
 def test_equality_is_exact():
@@ -208,11 +215,13 @@ def test_equality_is_exact():
     [
         lambda: Multivector(4) + 1,
         lambda: Multivector(4) - 1,
+        lambda: Multivector(4) * "x",
         lambda: BladeIndex(4, 1) ^ 1,
         lambda: BladeIndex(4, 1) < 1,
         lambda: SignedBlade(1, BladeIndex(4, 1)) * 2,
     ],
-    ids=["multivector-add", "multivector-sub", "blade-xor", "blade-lt", "signed-blade-mul"],
+    ids=["multivector-add", "multivector-sub", "multivector-mul", "blade-xor", "blade-lt",
+         "signed-blade-mul"],
 )
 def test_an_operator_on_a_foreign_operand_raises_type_error(expression):
     with pytest.raises(TypeError):

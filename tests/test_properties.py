@@ -415,7 +415,7 @@ def wide_tables(draw):
 
     The plane rule scans such small memories, where the scan is faster,
     so the test that draws them lifts the rule's base of 128 fillers:
-    then classic_decode counts them on bit planes from their second
+    then classic_decode counts them on bit planes from their first
     decode.  A crowded table, with at most 12 fillers, is never that wide.
     """
     k = draw(st.integers(4, 6))
