@@ -200,7 +200,7 @@ class SymbolTable(_JsonFile):
     @classmethod
     def from_json(cls, obj: dict) -> "SymbolTable":
         try:
-            n = _json_dimension(obj["n"])
+            n = _dimension(obj["n"])
             k = _json_value(obj["k"], (int,), "k")
             roles = {name: parse_blade(lit, n) for name, lit in obj["roles"].items()}
             fillers = {
@@ -219,8 +219,9 @@ def _json_value(value, types: tuple, what: str):
     return value
 
 
-def _json_dimension(value) -> int:
-    """A file's n: a JSON int of at least 1, checked before any literal is read."""
+def _dimension(value) -> int:
+    """n as a file or gen_symbols takes it: an int of at least 1 (not a bool
+    or a float), checked before any literal is read or symbol drawn."""
     n = _json_value(value, (int,), "n")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {_shorten(str(n))}")
@@ -242,6 +243,7 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
     for the requested number of symbols.
     """
     _check_seed(seed)
+    _dimension(n)
     if not 1 <= k <= n:
         raise ValueError(f"filler bits k={_shorten(str(k))} outside 1..{_shorten(str(n))}")
     role_names = list(role_names)
@@ -307,7 +309,7 @@ class EncodedRecord(_JsonFile):
     def from_json(cls, obj: dict) -> "EncodedRecord":
         try:
             codec = obj["codec"]
-            n = _json_dimension(obj["n"])
+            n = _dimension(obj["n"])
             if codec == GA:
                 try:
                     terms = [

@@ -154,7 +154,7 @@ def test_scalar_products_equal_the_scalar_part_of_the_full_product(pair):
     assert trace_product(x, y, m) == float(1 << m) * x.gp(y).scalar_part()
 
 
-@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 7))
+@given(st.integers(1, 96), st.integers(0, 2**32 - 1), st.integers(1, 7))
 @settings(max_examples=40)
 def test_majority_of_identical_items_is_identity(n, seed, copies):
     item = BladeIndex(n, random.Random(seed).getrandbits(n))
