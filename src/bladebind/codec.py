@@ -38,9 +38,10 @@ Two interchangeable codings of the same record abstraction:
   unwraps its blades into it, and `classic_encode` feeds it each
   pair's role.value ^ filler.value with no blade in between.
 
-Symbol tables draw roles over all nonzero n-bit strings and fillers
-over nonzero k-bit prefixes (remaining positions zero), so unbinding
-noise lands outside the filler subspace with high probability.
+Symbol tables draw fillers over nonzero k-bit prefixes (remaining
+positions zero), and roles over nonzero n-bit strings outside that
+filler subspace while there is room, so unbinding noise lands outside
+the filler subspace with high probability.
 
 All randomized operations take an explicit seed >= 0 and are pure
 functions of it.
@@ -76,6 +77,8 @@ __all__ = [
 # Bounded retry budget per symbol draw; exhausting it means the space of
 # admissible strings is too crowded for the requested table.
 MAX_DRAW_TRIES = 1000
+# The largest n gen_symbols draws at: random.getrandbits takes a C int.
+_MAX_DRAW_BITS = 2**31 - 1
 
 GA = "ga"
 CLASSIC = "classic"
@@ -86,7 +89,9 @@ class _JsonFile:
 
     load rejects a key repeated within one object (a last-one-wins read
     would decode a symbol the file does not uniquely name) and nesting
-    deeper than the interpreter's recursion limit.
+    deeper than the interpreter's recursion limit.  Its syntax and
+    nesting errors, like from_json's, start with the subclass's
+    `_malformed` label, so they say which kind of file is at fault.
     """
 
     def save(self, path) -> None:
@@ -98,9 +103,12 @@ class _JsonFile:
     def load(cls, path):
         with open(path) as fh:
             try:
-                return cls.from_json(json.load(fh, object_pairs_hook=_unique_keys))
+                obj = json.load(fh, object_pairs_hook=_unique_keys)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{cls._malformed}: {exc}") from None
             except RecursionError:
-                raise ValueError("JSON nested too deeply") from None
+                raise ValueError(f"{cls._malformed}: JSON nested too deeply") from None
+        return cls.from_json(obj)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -134,6 +142,8 @@ class SymbolTable(_JsonFile):
     later change to either mapping would go unchecked and leave them
     stale.
     """
+
+    _malformed = "malformed symbol table"
 
     def __init__(self, n: int, k: int, roles: dict, fillers: dict):
         if not 1 <= k <= n:
@@ -207,7 +217,7 @@ class SymbolTable(_JsonFile):
                 name: parse_blade(lit, n) for name, lit in obj["fillers"].items()
             }
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-            raise ValueError(f"malformed symbol table: {exc}") from exc
+            raise ValueError(f"{cls._malformed}: {exc}") from exc
         return cls(n=n, k=k, roles=roles, fillers=fillers)
 
 
@@ -237,13 +247,22 @@ def _check_seed(seed: int) -> None:
 def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTable:
     """Seeded random symbol table; deterministic for a given seed.
 
-    Roles are uniform over nonzero n-bit strings; fillers are uniform
-    over nonzero k-bit prefixes, zero-padded to n.  Collisions are
-    redrawn; running out of retries signals the dimension is too small
-    for the requested number of symbols.
+    Fillers are uniform over nonzero k-bit prefixes, zero-padded to n:
+    the filler subspace, 2^k - 1 strings.  Roles are drawn first, uniform
+    over nonzero n-bit strings, and a role is redrawn while it lands in
+    the filler subspace and room is left outside it: the first
+    min(R, 2^n - 2^k) of the R roles keep off, so a role takes a filler
+    string only once the 2^n - 2^k strings outside are taken.  So a
+    table is drawn whenever F <= 2^k - 1 and R + F <= 2^n - 1, the two
+    capacity checks.  Collisions are redrawn too; running out of
+    retries, which is then only bad luck, signals the dimension is too
+    small for the requested number of symbols.
     """
     _check_seed(seed)
     _dimension(n)
+    # k <= n is checked next, so this bounds both draw widths
+    if n > _MAX_DRAW_BITS:
+        raise ValueError(f"n={_shorten(str(n))} is above the draw limit of {_MAX_DRAW_BITS} bits")
     if not 1 <= k <= n:
         raise ValueError(f"filler bits k={_shorten(str(k))} outside 1..{_shorten(str(n))}")
     role_names = list(role_names)
@@ -257,13 +276,21 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
     if len(names).bit_length() > n:
         raise ValueError(f"n={_shorten(str(n))} cannot host {len(names)} distinct symbols")
 
+    # how many roles keep off the filler subspace: the 2^n - 2^k strings
+    # outside it are at least 2^(n-1) when k < n, so 2^n is built only
+    # when n is at most the role count's bit length
+    roles_off = len(role_names) if k < n else 0
+    if roles_off.bit_length() >= n:
+        roles_off = min(roles_off, (1 << n) - (1 << k))
+
     rng = random.Random(seed)
     used: set[int] = set()
 
-    def draw(bits: int, shift: int) -> int:
+    def draw(bits: int, shift: int, keep_off: bool = False) -> int:
         for _ in range(MAX_DRAW_TRIES):
             v = rng.getrandbits(bits) << shift
-            if v and v not in used:
+            # a string in the filler subspace has no set bit below n - k
+            if v and v not in used and not (keep_off and (v & -v).bit_length() > n - k):
                 used.add(v)
                 return v
         raise ValueError(
@@ -272,7 +299,9 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
             "dimension too small"
         )
 
-    roles = {name: BladeIndex(n, draw(n, 0)) for name in role_names}
+    roles = {
+        name: BladeIndex(n, draw(n, 0, i < roles_off)) for i, name in enumerate(role_names)
+    }
     fillers = {name: BladeIndex(n, draw(k, n - k)) for name in filler_names}
     return SymbolTable(n=n, k=k, roles=roles, fillers=fillers)
 
@@ -282,6 +311,8 @@ def gen_symbols(seed: int, n: int, k: int, role_names, filler_names) -> SymbolTa
 
 class EncodedRecord(_JsonFile):
     """A chunked record: a sparse multivector (GA) or one bit string (classic)."""
+
+    _malformed = "malformed record"
 
     def __init__(
         self, codec: str, payload: Multivector | None = None, bits: BladeIndex | None = None
@@ -322,7 +353,7 @@ class EncodedRecord(_JsonFile):
             if codec == CLASSIC:
                 return cls(CLASSIC, bits=parse_blade(obj["bits"], n))
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-            raise ValueError(f"malformed record: {exc}") from exc
+            raise ValueError(f"{cls._malformed}: {exc}") from exc
         return cls(codec)
 
 

@@ -8,8 +8,9 @@ type and message, is rendered as one text line; the block's digest is
 the SHA-256 of those lines.  tests/golden/decode_corpus.txt holds one
 "block digest" line per block, so a changed answer names its block.
 
-Every classic decode is also checked against `nearest_by_scan`, the
-reference clean-up, twice: on a fresh copy of the table, whose memory
+Every classic encode is also checked against `majority_by_columns`,
+the reference vote, and every classic decode against `nearest_by_scan`,
+the reference clean-up, twice: on a fresh copy of the table, whose memory
 is decoded for the first time, and on the block's own table, whose
 memory is kept across decodes.  A wide memory counts on bit planes
 from its first decode, so both run on planes there.
@@ -26,11 +27,15 @@ change an answer (say which and why in CHANGES.md):
     PYTHONPATH=src python tests/decode_corpus.py
     PYTHONPATH=src python tests/decode_corpus.py --write
 
-It imports only the standard library and bladebind, so it also runs
-under `python -S`, where numpy cannot be imported.
+Last it imports every bladebind module and runs `bench --n 64`, and
+names each of numpy, dataclasses and inspect that is then loaded: the
+package needs none of them.  The runner itself imports only the
+standard library and bladebind, so it also runs under `python -S`,
+where numpy cannot be imported at all.
 """
 
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -56,6 +61,9 @@ from bladebind.codec import (
 from bladebind.multivector import Multivector
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "decode_corpus.txt"
+# the package runs without these: numpy is a test dependency only, and
+# dataclasses and inspect would add to every CLI child's import time
+UNWANTED = ("numpy", "dataclasses", "inspect")
 
 # n -> (k, fillers, roles).  Only n = 1024, at wide-memory's shape, is a
 # wide memory (F >= 128 + 2 * width) that counts on bit planes from its
@@ -88,6 +96,22 @@ def nearest_by_scan(unbound: int, table: SymbolTable) -> tuple:
     distance, value, name = ranked[0]
     tied = len(ranked) > 1 and ranked[1][0] == distance
     return name, BladeIndex(table.n, value), distance, tied
+
+
+def majority_by_columns(items: list, seed: int) -> BladeIndex:
+    """Reference classic vote, one position at a time.
+
+    A bit is set where more than half the items set it; an exact tie
+    takes one random.Random(seed).getrandbits(1) coin, tied positions in
+    order from position 1.
+    """
+    draw = random.Random(seed).getrandbits
+    n, m = items[0].n, len(items)
+    digits = []
+    for column in zip(*(format(item.value, f"0{n}b") for item in items)):
+        twice = 2 * column.count("1")
+        digits.append("1" if twice > m else "0" if twice < m else str(draw(1)))
+    return BladeIndex(n, int("".join(digits), 2))
 
 
 def show(value) -> str:
@@ -184,7 +208,8 @@ def ga_lines(n: int, seed: int, problems: list) -> list:
 
 
 def classic_lines(n: int, seed: int, problems: list) -> list:
-    """The rendering of one classic block; problems gets each decode off the reference."""
+    """The rendering of one classic block; problems gets each encode and
+    decode that differs from its reference."""
     table = block_table(n, seed)
     rng = random.Random(f"classic {n} {seed}")
     roles, fillers = list(table.roles), list(table.fillers)
@@ -202,11 +227,13 @@ def classic_lines(n: int, seed: int, problems: list) -> list:
         ([(r0, fa), (r0, fb), (r1, fa), (r1, fa)], 2),
     ]
     records = []
-    for pairs, vote_seed in encodes:
+    for i, (pairs, vote_seed) in enumerate(encodes):
         record = classic_encode(table, pairs, vote_seed)
         lines.append(f"encode {pairs} {vote_seed} -> {show(record)}")
         bound = [table.roles[role] ^ table.fillers[filler] for role, filler in pairs]
         lines.append(f"majority {attempt(majority_chunk, bound, vote_seed)}")
+        if record.bits != majority_by_columns(bound, vote_seed):
+            problems.append(f"classic-n{n}-seed{seed}: encode {i} differs from the reference vote")
         records.append(record.bits)
     # random bit strings: many ties where the fillers are crowded
     records += [BladeIndex(n, rng.getrandbits(n)) for _ in range(4)]
@@ -310,6 +337,19 @@ def cli_outputs(folder: Path) -> dict:
     return outputs
 
 
+def unwanted_modules() -> list:
+    """The modules of UNWANTED loaded after every bladebind module is
+    imported and `bench --n 64` has run, its output discarded.
+
+    The modules are listed from the package folder: pkgutil.iter_modules
+    would itself import inspect.
+    """
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        importlib.import_module(f"bladebind.{path.stem}")
+    run_cli("bench", "--n", "64")
+    return [name for name in UNWANTED if name in sys.modules]
+
+
 def golden_cli_files() -> set:
     """The names of the golden files that the CLI sequence prints or writes."""
     return {path.name for path in GOLDEN.parent.iterdir()} - {GOLDEN.name}
@@ -332,6 +372,7 @@ def check() -> list:
         golden = GOLDEN.with_name(name)
         if not golden.exists() or outputs.get(name) != golden.read_bytes():
             problems.append(f"{name}: the CLI's output differs from the golden file")
+    problems += [f"{name} was imported" for name in unwanted_modules()]
     return sorted(problems)
 
 

@@ -377,6 +377,8 @@ ZERO = "error: dimension must be >= 1, got 0"
 SEED_GA = "error: --seed applies to the classic codec only"
 WEIGHTS_CLASSIC = "error: --weights applies to the ga codec only"
 TWICE = "error: blade 0011001011100110 is named twice"
+NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+HUGE_N = f"error: n={'9' * 38}...{'9' * 38} is above the draw limit of 2147483647 bits"
 LONG = 299  # bytes: a 1 MB filler literal, cut, still prints 141
 
 
@@ -410,15 +412,16 @@ USAGE_ERRORS = {
                     gen("--n", "16", "--k", "4", "--roles", "a=b,c")),
     ],
     # 4001 digits: int() parses them, but no 2^n is built and the echo is cut;
-    # "int" is in the interpreter's own overflow message
+    # random.getrandbits takes a C int, so n stops at 2^31 - 1
     "test_a_huge_size_is_one_short_error_line": [
-        usage_error("gen-huge-n", "int",
+        usage_error("gen-huge-n", HUGE_N,
                     gen("--n", "9" * 4001, "--k", "1", "--roles", "a", "--fillers", "b")),
         usage_error("gen-huge-k", "filler bits k=9999",
                     gen("--n", "5", "--k", "9" * 4001, "--roles", "a", "--fillers", "b")),
-        usage_error("gen-n-beyond-c-int", "int",
+        usage_error("gen-n-beyond-c-int",
+                    "error: n=3000000000 is above the draw limit of 2147483647 bits",
                     gen("--n", "3000000000", "--k", "1", "--roles", "a", "--fillers", "b")),
-        usage_error("bench-huge-n", "int", ("bench", "--n", "9" * 4001)),
+        usage_error("bench-huge-n", HUGE_N, ("bench", "--n", "9" * 4001)),
     ],
     # random seeds with abs(seed): -1 would silently repeat seed 1
     "test_a_negative_seed_is_a_usage_error": [
@@ -483,15 +486,17 @@ USAGE_ERRORS = {
     "test_missing_and_malformed_files": [
         usage_error(None, "error: [Errno 2] No such file or directory: 'absent.json'",
                     ("encode", "--in", "absent.json", "--pairs", "a=b", "--out", "out.json")),
-        usage_error(None, "Expecting property name enclosed in double quotes", encode("a=b"),
+        usage_error(None, f"error: malformed symbol table: {NOT_JSON}", encode("a=b"),
                     table=lambda _: "{not json"),
+        usage_error(None, f"error: malformed record: {NOT_JSON}", decode(),
+                    record=lambda _: "{not json"),
         usage_error(None, "error: malformed symbol table: 'n'", encode("a=b"),
                     table=lambda _: "{}"),
     ],
     "test_deeply_nested_json_exits_2": [
-        usage_error(name, "error: JSON nested too deeply", decode(),
+        usage_error(name, f"error: malformed {kind}: JSON nested too deeply", decode(),
                     **{name: lambda _: "[" * 100_000})
-        for name in ["record", "table"]
+        for name, kind in [("record", "record"), ("table", "symbol table")]
     ],
     # numbers in files; json writes and reads NaN, and 400 nines overflow a float
     "test_decode_rejects_a_nan_coefficient": [

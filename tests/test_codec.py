@@ -23,7 +23,7 @@ from bladebind.codec import (
 )
 from bladebind.multivector import Multivector
 from bladebind.verify import fixture_table
-from decode_corpus import nearest_by_scan
+from decode_corpus import majority_by_columns, nearest_by_scan
 
 
 def b(text):
@@ -76,6 +76,32 @@ def test_gen_symbols_rejects_bad_requests(monkeypatch):
     monkeypatch.setattr(codec, "MAX_DRAW_TRIES", 0)
     with pytest.raises(ValueError, match="could not draw 2 distinct symbols at n=8, k=8"):
         gen_symbols(0, 8, 8, ["r"], ["f"])
+
+
+def test_gen_symbols_draws_every_table_that_fits():
+    # every shape with n <= 5, up to one filler and one symbol past the
+    # capacity checks; roles keep off the filler subspace while room is
+    # left outside it, so only those checks fail
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for filler_count in range((1 << k) + 1):
+                for role_count in range((1 << n) - filler_count + 1):
+                    roles = [f"r{i}" for i in range(role_count)]
+                    fillers = [f"f{i}" for i in range(filler_count)]
+                    if filler_count >= 1 << k:
+                        message = f"k={k} cannot host {filler_count} distinct fillers"
+                    elif role_count + filler_count >= 1 << n:
+                        message = f"n={n} cannot host {role_count + filler_count} distinct symbols"
+                    else:
+                        message = None
+                    for seed in range(10):
+                        if message is None:
+                            table = gen_symbols(seed, n, k, roles, fillers)
+                            assert (list(table.roles), list(table.fillers)) == (roles, fillers)
+                        else:
+                            with pytest.raises(ValueError) as exc:
+                                gen_symbols(seed, n, k, roles, fillers)
+                            assert str(exc.value) == message
 
 
 def no_draws(*args):
@@ -290,17 +316,6 @@ def test_majority_chunk_tie_handling():
     assert len(outputs) > 1  # the seed genuinely moves the coin
 
 
-def reference_coin_flips(ties, n, seed):
-    """One getrandbits(1) per tied position, in position order from 1."""
-    draw = random.Random(seed).getrandbits
-    coins = 0
-    for position in range(1, n + 1):
-        bit = 1 << (n - position)
-        if ties & bit and draw(1):
-            coins |= bit
-    return coins
-
-
 def tie_masks(n, rng):
     """All-tie, single-tie and random masks, with tie counts around 8 and 32."""
     yield (1 << n) - 1
@@ -315,23 +330,12 @@ def tie_masks(n, rng):
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 1024, 10_000])
 def test_coin_flips_match_one_draw_per_tie(n):
+    # the vote of 0 and ties is a coin at each tie and 0 elsewhere
     rng = random.Random(n)
     for ties in tie_masks(n, rng):
+        items = [BladeIndex(n, 0), BladeIndex(n, ties)]
         for seed in (0, 1, rng.getrandbits(64)):
-            assert _coin_flips(ties, seed) == reference_coin_flips(ties, n, seed)
-
-
-def reference_majority(items, seed):
-    """Per-position count against m/2, with reference_coin_flips on exact ties."""
-    n, m = items[0].n, len(items)
-    above = ties = 0
-    for bit in range(n):
-        count = sum(x.value >> bit & 1 for x in items)
-        if 2 * count > m:
-            above |= 1 << bit
-        elif 2 * count == m:
-            ties |= 1 << bit
-    return above | reference_coin_flips(ties, n, seed)
+            assert _coin_flips(ties, seed) == majority_by_columns(items, seed).value
 
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 1024, 10_000])
@@ -345,7 +349,7 @@ def test_majority_chunk_matches_a_per_position_vote(n):
             items = base + [BladeIndex(n, rng.getrandbits(n)) for _ in range(extra)]
             for seed in (0, 7):
                 vote = majority_chunk(items, seed)
-                expected = BladeIndex(n, reference_majority(items, seed))
+                expected = majority_by_columns(items, seed)
                 assert vote == expected and hash(vote) == hash(expected)
                 assert repr(vote) == repr(expected)
 
@@ -359,7 +363,7 @@ def test_majority_chunk_matches_a_per_position_vote_for_every_adder_shape(n):
     for m in (1, 2, 3, 4, 5, 31, 32, 33, 64):
         items = [BladeIndex(n, rng.getrandbits(n)) for _ in range(m)]
         for seed in (0, m):
-            assert majority_chunk(items, seed) == BladeIndex(n, reference_majority(items, seed))
+            assert majority_chunk(items, seed) == majority_by_columns(items, seed)
 
 
 def test_hamming_basics():
@@ -452,14 +456,9 @@ def test_classic_decode_matches_a_full_distance_scan(n):
         # the larger twin first, among entries in no blade order
         blades = [twins[1], *far[:20], third, twins[0], *far[20:]]
         table = SymbolTable(n, n, {}, {f"f{i}": blade for i, blade in enumerate(blades)})
-        memory = CleanupMemory.from_table(table, "hamming")
-        distances = [(hamming(record ^ role, blade), blade.value, name)
-                     for name, blade in memory.entries]
-        d, value, name = min(distances)
-        res = classic_decode(record, role, memory)
-        assert (res.filler, res.blade.value, res.distance) == (name, value, d)
+        res = classic_decode(record, role, CleanupMemory.from_table(table, "hamming"))
+        assert tuple(res) == nearest_by_scan(unbound, table)
         assert res.blade == (winner or third) and res.ambiguous == ambiguous
-        assert res.ambiguous == ([e[0] for e in distances].count(d) > 1)
 
 
 def test_classic_decode_checks_the_record_against_the_memory():

@@ -1,8 +1,11 @@
 """The decode corpus and the golden CLI files match, run without numpy.
 
-tests/decode_corpus.py checks the corpus digests and the golden CLI
-files, and holds the corpus's regeneration command.  The child runs
-under `python -S`, so site-packages, and numpy with it, cannot be imported.
+tests/decode_corpus.py checks the corpus digests, the classic encodes
+and decodes against their references and the golden CLI files, imports
+every module and runs `bench`, and holds the corpus's regeneration
+command.  The child runs under `python -S`, so site-packages, and numpy
+with it, cannot be imported; the runner also reports numpy, dataclasses
+or inspect if any module loads them.
 """
 
 import subprocess

@@ -30,7 +30,7 @@ from bladebind.codec import (
 )
 from bladebind.multivector import Multivector, similarity, trace_product
 from bladebind.reference import product_by_transposition_sort
-from decode_corpus import nearest_by_scan
+from decode_corpus import majority_by_columns, nearest_by_scan
 from dense_cartan import sign_by_crossing_count
 
 
@@ -479,17 +479,6 @@ def numpy_majority(items, seed):
     return BladeIndex(n, int.from_bytes(np.packbits(padded).tobytes(), "big"))
 
 
-def column_majority(items, seed):
-    """Per-position vote over the '0'/'1' literals, ties by the coin from position 1."""
-    rng = random.Random(seed)
-    n, m = items[0].n, len(items)
-    out = []
-    for column in zip(*(format(b.value, f"0{n}b") for b in items)):
-        twice = 2 * column.count("1")
-        out.append("1" if twice > m else "0" if twice < m else str(rng.getrandbits(1)))
-    return BladeIndex(n, int("".join(out), 2))
-
-
 # Widths around and between byte and word boundaries, and two large ones.
 VOTE_WIDTHS = [*range(1, 10), 63, 64, 65, 1024, 10_000]
 
@@ -517,4 +506,4 @@ def vote_inputs(draw):
 def test_majority_chunk_matches_the_numpy_and_column_votes(items, seed):
     got = majority_chunk(items, seed)
     assert got == numpy_majority(items, seed)
-    assert got == column_majority(items, seed)
+    assert got == majority_by_columns(items, seed)
