@@ -87,24 +87,25 @@ CLASSIC = "classic"
 class _JsonFile:
     """save/load as indented JSON, built on the subclass's to_json/from_json.
 
+    Files are UTF-8 whatever the locale (RFC 8259); save writes ASCII.
     load rejects a key repeated within one object (a last-one-wins read
     would decode a symbol the file does not uniquely name) and nesting
-    deeper than the interpreter's recursion limit.  Its syntax and
-    nesting errors, like from_json's, start with the subclass's
+    deeper than the interpreter's recursion limit.  Its encoding, syntax
+    and nesting errors, like from_json's, start with the subclass's
     `_malformed` label, so they say which kind of file is at fault.
     """
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh, object_pairs_hook=_unique_keys)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"{cls._malformed}: {exc}") from None
             except RecursionError:
                 raise ValueError(f"{cls._malformed}: JSON nested too deeply") from None

@@ -30,6 +30,7 @@ from bladebind.codec import (
     classic_decode,
     ga_decode,
     ga_encode,
+    gen_symbols,
 )
 
 
@@ -285,6 +286,21 @@ def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path, src_env):
     assert proc.stderr == b""
 
 
+def test_a_utf8_table_loads_under_an_ascii_locale(tmp_path, src_env):
+    # files are UTF-8 whatever the locale: under LC_ALL=C with UTF-8 mode
+    # off, the locale encoding is ASCII, and the role "café" must still load
+    table = gen_symbols(seed=7, n=64, k=16, role_names=["name", "café"], filler_names=["Pat"])
+    (tmp_path / TABLE).write_bytes(json.dumps(table.to_json(), ensure_ascii=False).encode())
+    assert "café".encode() in (tmp_path / TABLE).read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "bladebind", "encode", "--in", TABLE,
+         "--pairs", "name=Pat", "--out", RECORD],
+        capture_output=True, text=True, cwd=tmp_path, env={**src_env, "LC_ALL": "C"}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"wrote ga record (1 terms, n=64) -> {RECORD}\n"
+
+
 def test_usage_error_without_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -301,8 +317,8 @@ def usage_error(row_id, message, *commands, table=None, record=None, bound=140, 
 
     row_id is the row's test parameter id, or None in a test that runs
     its rows in turn.  setup takes n, k, fillers, codec and pairs (see
-    write_setup); table and record are edits, text to text, of the
-    setup's two files.
+    write_setup); table and record are edits, text to text or to
+    bytes, of the setup's two files.
     """
     edits = {name: edit for name, edit in ((TABLE, table), (RECORD, record)) if edit}
     return pytest.param(commands, message, edits, bound, setup, id=row_id)
@@ -378,6 +394,7 @@ SEED_GA = "error: --seed applies to the classic codec only"
 WEIGHTS_CLASSIC = "error: --weights applies to the ga codec only"
 TWICE = "error: blade 0011001011100110 is named twice"
 NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 HUGE_N = f"error: n={'9' * 38}...{'9' * 38} is above the draw limit of 2147483647 bits"
 LONG = 299  # bytes: a 1 MB filler literal, cut, still prints 141
 
@@ -492,6 +509,10 @@ USAGE_ERRORS = {
                     record=lambda _: "{not json"),
         usage_error(None, "error: malformed symbol table: 'n'", encode("a=b"),
                     table=lambda _: "{}"),
+        usage_error(None, f"error: malformed symbol table: {NOT_UTF8}", encode(), decode(),
+                    table=lambda text: b"\xff" + text.encode()),
+        usage_error(None, f"error: malformed record: {NOT_UTF8}", decode(),
+                    record=lambda text: b"\xff" + text.encode()),
     ],
     "test_deeply_nested_json_exits_2": [
         usage_error(name, f"error: malformed {kind}: JSON nested too deeply", decode(),
@@ -619,7 +640,8 @@ def check_usage_error(capsys, monkeypatch, directory, commands, message, edits, 
     monkeypatch.chdir(directory)
     write_setup(capsys, directory, **setup)
     for name, edit in edits.items():
-        (directory / name).write_text(edit((directory / name).read_text()))
+        text = edit((directory / name).read_text())
+        (directory / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     for argv in commands:
         err = assert_usage_error(capsys, *argv)
         if message.startswith("error: "):

@@ -7,7 +7,7 @@ import pytest
 
 from bladebind.blades import BladeIndex, SignedBlade, blade_inverse
 from bladebind.multivector import Multivector, similarity, trace_product
-from dense_cartan import blade_matrix, rep
+from dense_cartan import rep
 
 
 def mv(pairs, n=4):

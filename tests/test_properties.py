@@ -459,7 +459,9 @@ def test_classic_decode_on_planes_matches_the_distance_scan(table, data):
 
 
 def numpy_majority(items, seed):
-    """The numpy vote `majority_chunk` used to run: unpack, sum columns, flip ties."""
+    """A whole-column reference vote in numpy: unpack each item into a
+    bit row, sum the columns, then draw one coin per tie from position
+    1 on, each from its own getrandbits(1) call."""
     import numpy as np
 
     n = items[0].n
